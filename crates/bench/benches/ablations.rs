@@ -13,7 +13,9 @@
 use std::cell::Cell;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use population::{Runner, TrialSettings};
+use population::{
+    ConvergenceSample, RankingProtocol, Runner, Simulation, TrialOutcome, TrialSettings,
+};
 use ssle::adversary;
 use ssle::optimal_silent::{OptimalSilentSsr, OssState};
 use ssle::reset::ResetParams;
@@ -25,9 +27,8 @@ fn run_oss(n: usize, d_max_mult: u32, r_max_mult: f64, seed: u64) {
     let reset = ResetParams::new(r_max, d_max_mult * n as u32).expect("positive");
     let protocol = OptimalSilentSsr::with_params(n, 10 * n as u32, reset);
     let settings = TrialSettings::new(1, seed, 4000 * (n as u64).pow(2), 4 * n as u64);
-    let sample =
-        Runner::new(settings).measure_ranking(|_, _| (protocol, vec![OssState::settled(1, 0); n]));
-    assert!(sample.all_converged());
+    let initial = vec![OssState::settled(1, 0); n];
+    assert!(converges(settings, protocol, initial));
 }
 
 fn run_sublinear(n: usize, h: u32, t_h_mult: f64, seed: u64) {
@@ -41,10 +42,26 @@ fn run_sublinear(n: usize, h: u32, t_h_mult: f64, seed: u64) {
     let reset = ResetParams::new(r_max, (2 * r_max).max(2 * name_bits as u32)).expect("positive");
     let protocol = SublinearTimeSsr::with_params(n, name_bits, collision, reset);
     let settings = TrialSettings::new(1, seed, 4000 * (n as u64).pow(2), 4 * n as u64);
-    let sample = Runner::new(settings).measure_ranking(|_, _| {
-        (protocol.clone(), adversary::planted_collision_configuration(&protocol))
-    });
-    assert!(sample.all_converged());
+    let initial = adversary::planted_collision_configuration(&protocol);
+    assert!(converges(settings, protocol, initial));
+}
+
+/// Whether every trial of `protocol` from `initial` reaches a stable
+/// ranking within the settings' budget.
+fn converges<P>(settings: TrialSettings, protocol: P, initial: Vec<P::State>) -> bool
+where
+    P: RankingProtocol + Clone + Sync,
+    P::State: Sync,
+{
+    let trials = Runner::new(settings).run(
+        1,
+        |s| {
+            let mut sim = Simulation::new(protocol.clone(), initial.clone(), s.execution);
+            TrialOutcome::measure(s.trial, &mut sim, &settings)
+        },
+        |_| {},
+    );
+    ConvergenceSample::from_trials(&trials).all_converged()
 }
 
 fn bench_ablations(c: &mut Criterion) {

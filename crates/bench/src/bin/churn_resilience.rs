@@ -45,10 +45,9 @@ use std::hash::Hash;
 
 use population::record::{to_jsonl_mixed, RecordLine};
 use population::{
-    ByzantineSet, ChurnPlan, Corruptor, DynamicsTrialOutcome, FaultPlan, Progress, Runner,
-    TrialSettings,
+    BatchSimulation, ByzantineSet, ChurnPlan, Corruptor, DynamicBackend, DynamicsTrialOutcome,
+    FaultInjector, FaultPlan, NoopObserver, Progress, Runner, Simulation, TrialSettings,
 };
-use rand::rngs::SmallRng;
 use rand::Rng;
 use ssle::adversary;
 use ssle::{CaiIzumiWada, OptimalSilentSsr, SublinearTimeSsr};
@@ -117,59 +116,58 @@ fn cell_plan(rate: f64, byz: f64, budget: u64, seed: u64) -> ChurnPlan {
     }
 }
 
-/// Runs one grid cell on the agent-array backend: `trials` soak-style runs
-/// under sustained replacement churn at `rate` and Byzantine fraction
-/// `byz`. Per-trial churn/Byzantine seeds come from the per-trial config
-/// RNG, so the grid is deterministic in the base seed.
-fn cell<P, M>(
-    make_protocol: M,
+/// Runs one grid cell: the runner's trials as soak-style runs under
+/// sustained replacement churn at `rate` and Byzantine fraction `byz`, each
+/// on the backend `build` makes. Per-trial churn/Byzantine seeds come from
+/// the per-trial config RNG, so the grid is deterministic in the base seed.
+fn cell<P, B>(
+    runner: &Runner,
+    threads: usize,
+    make_protocol: impl Fn() -> P + Sync,
+    build: impl Fn(P, Vec<P::State>, u64) -> B + Sync,
     rate: f64,
     byz: f64,
-    trials: u64,
-    seed: u64,
-    budget: u64,
-    threads: usize,
 ) -> Vec<DynamicsTrialOutcome>
 where
-    P: Corruptor + Send,
-    P::State: Send,
-    M: Fn() -> P + Sync,
+    P: Corruptor,
+    B: DynamicBackend<P>,
 {
-    let settings = TrialSettings::new(trials, seed, budget, 0);
-    let make = |_: u64, rng: &mut SmallRng| {
-        let protocol = make_protocol();
-        let initial = adversary::random_configuration(&protocol, rng);
-        let churn = cell_plan(rate, byz, budget, rng.gen());
-        let byzset = ByzantineSet { fraction: byz, seed: rng.gen() };
-        (protocol, initial, FaultPlan::none(), churn, byzset)
-    };
-    Runner::new(settings).run_dynamics_trials_parallel(threads, make)
+    let budget = runner.settings().max_interactions;
+    runner.run(
+        threads,
+        |s| {
+            let mut rng = s.config_rng();
+            let protocol = make_protocol();
+            let initial = adversary::random_configuration(&protocol, &mut rng);
+            let churn = cell_plan(rate, byz, budget, rng.gen());
+            let byzset = ByzantineSet { fraction: byz, seed: rng.gen() };
+            let mut sim = build(protocol, initial, s.execution);
+            DynamicsTrialOutcome::measure(s.trial, &mut sim, &churn, &byzset, budget)
+        },
+        |_| {},
+    )
 }
 
-/// [`cell`] on the count-based backend (lumped Byzantine model).
-fn cell_counts<P, M>(
-    make_protocol: M,
-    rate: f64,
-    byz: f64,
-    trials: u64,
+/// The agent-array backend of one trial (pinned Byzantine model).
+fn agents<P: Corruptor>(
+    protocol: P,
+    initial: Vec<P::State>,
     seed: u64,
-    budget: u64,
-    threads: usize,
-) -> Vec<DynamicsTrialOutcome>
+) -> Simulation<P, NoopObserver, FaultInjector> {
+    Simulation::new(protocol, initial, seed).with_fault_plan(&FaultPlan::none())
+}
+
+/// The count-based backend of one trial (lumped Byzantine model).
+fn counts<P>(
+    protocol: P,
+    initial: Vec<P::State>,
+    seed: u64,
+) -> BatchSimulation<P, NoopObserver, FaultInjector>
 where
-    P: Corruptor + Send,
-    P::State: Eq + Hash + Send,
-    M: Fn() -> P + Sync,
+    P: Corruptor,
+    P::State: Eq + Hash,
 {
-    let settings = TrialSettings::new(trials, seed, budget, 0);
-    let make = |_: u64, rng: &mut SmallRng| {
-        let protocol = make_protocol();
-        let initial = adversary::random_configuration(&protocol, rng);
-        let churn = cell_plan(rate, byz, budget, rng.gen());
-        let byzset = ByzantineSet { fraction: byz, seed: rng.gen() };
-        (protocol, initial, FaultPlan::none(), churn, byzset)
-    };
-    Runner::new(settings).run_dynamics_trials_counts_parallel(threads, make)
+    BatchSimulation::new(protocol, initial, seed).with_fault_plan(&FaultPlan::none())
 }
 
 /// Runs the full churn × Byzantine grid for one (protocol, backend) pair
@@ -264,73 +262,32 @@ fn main() {
          churn in replacements per time unit\n"
     );
 
-    run_grid(
-        "Silent-n-state-SSR [Cai–Izumi–Wada]",
-        "ciw",
-        "agents",
-        n,
-        None,
-        seed,
-        quick,
-        &mut records,
-        &mut meter,
-        &mut cells_done,
-        |rate, byz| cell(|| CaiIzumiWada::new(n), rate, byz, trials, seed, budget, threads),
-    );
-    run_grid(
-        "Silent-n-state-SSR [Cai–Izumi–Wada]",
-        "ciw",
-        "counts",
-        n,
-        None,
-        seed,
-        quick,
-        &mut records,
-        &mut meter,
-        &mut cells_done,
-        |rate, byz| cell_counts(|| CaiIzumiWada::new(n), rate, byz, trials, seed, budget, threads),
-    );
-    run_grid(
-        "Optimal-Silent-SSR",
-        "oss",
-        "agents",
-        n,
-        None,
-        seed,
-        quick,
-        &mut records,
-        &mut meter,
-        &mut cells_done,
-        |rate, byz| cell(|| OptimalSilentSsr::new(n), rate, byz, trials, seed, budget, threads),
-    );
-    run_grid(
-        "Optimal-Silent-SSR",
-        "oss",
-        "counts",
-        n,
-        None,
-        seed,
-        quick,
-        &mut records,
-        &mut meter,
-        &mut cells_done,
-        |rate, byz| {
-            cell_counts(|| OptimalSilentSsr::new(n), rate, byz, trials, seed, budget, threads)
-        },
-    );
-    run_grid(
-        &format!("Sublinear-Time-SSR, H = {h}"),
-        "sublinear",
-        "agents",
-        n,
-        Some(h as u64),
-        seed,
-        quick,
-        &mut records,
-        &mut meter,
-        &mut cells_done,
-        |rate, byz| cell(|| SublinearTimeSsr::new(n, h), rate, byz, trials, seed, budget, threads),
-    );
+    let runner = Runner::new(TrialSettings::new(trials, seed, budget, 0));
+    let mut grid = |label: &str,
+                    protocol: &str,
+                    backend: &str,
+                    h: Option<u64>,
+                    measure: &dyn Fn(f64, f64) -> Vec<DynamicsTrialOutcome>| {
+        let (records, meter, done) = (&mut records, &mut meter, &mut cells_done);
+        run_grid(label, protocol, backend, n, h, seed, quick, records, meter, done, measure)
+    };
+    let (ciw, oss) = ("Silent-n-state-SSR [Cai–Izumi–Wada]", "Optimal-Silent-SSR");
+    grid(ciw, "ciw", "agents", None, &|r, b| {
+        cell(&runner, threads, || CaiIzumiWada::new(n), agents, r, b)
+    });
+    grid(ciw, "ciw", "counts", None, &|r, b| {
+        cell(&runner, threads, || CaiIzumiWada::new(n), counts, r, b)
+    });
+    grid(oss, "oss", "agents", None, &|r, b| {
+        cell(&runner, threads, || OptimalSilentSsr::new(n), agents, r, b)
+    });
+    grid(oss, "oss", "counts", None, &|r, b| {
+        cell(&runner, threads, || OptimalSilentSsr::new(n), counts, r, b)
+    });
+    let sublinear = format!("Sublinear-Time-SSR, H = {h}");
+    grid(&sublinear, "sublinear", "agents", Some(h as u64), &|r, b| {
+        cell(&runner, threads, || SublinearTimeSsr::new(n, h), agents, r, b)
+    });
     meter.finish(cells_done, "grid complete");
 
     println!("reading: churn tolerance tracks re-stabilization speed — a protocol keeps its");

@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 use analysis::Summary;
 use population::record::{to_jsonl, RunRecord};
 use population::runner::derive_seed;
-use population::{RunOutcome, Simulation};
+use population::{RunOutcome, Runner, Simulation, TrialSettings};
 use ssle::loose::LooselyStabilizingLe;
 use ssle_bench::cli::Flags;
 
@@ -74,8 +74,10 @@ fn one_trial(t_max: u32, n: usize, horizon: f64, base_seed: u64, trial: u64) -> 
     }
 }
 
-/// Runs all trials for one `T_max`, striding them over `threads` workers.
-/// Per-trial seeding makes the outcomes identical to the sequential order.
+/// Runs all trials for one `T_max` over `threads` workers. Each trial
+/// seeds its execution from `derive_seed(seed, trial)` alone (this
+/// experiment draws no configuration randomness), so the outcomes are
+/// identical for every worker count.
 fn run_trials(
     t_max: u32,
     n: usize,
@@ -84,24 +86,11 @@ fn run_trials(
     trials: u64,
     threads: usize,
 ) -> Vec<LooseTrial> {
-    let mut results: Vec<LooseTrial> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for worker in 0..threads {
-            let handle = scope.spawn(move || {
-                let mut out = Vec::new();
-                let mut trial = worker as u64;
-                while trial < trials {
-                    out.push(one_trial(t_max, n, horizon, seed, trial));
-                    trial += threads as u64;
-                }
-                out
-            });
-            handles.push(handle);
-        }
-        handles.into_iter().flat_map(|h| h.join().expect("worker thread panicked")).collect()
-    });
-    results.sort_unstable_by_key(|t| t.trial);
-    results
+    Runner::new(TrialSettings::new(trials, seed, 0, 0)).run(
+        threads,
+        |s| one_trial(t_max, n, horizon, seed, s.trial),
+        |_| {},
+    )
 }
 
 impl LooseTrial {

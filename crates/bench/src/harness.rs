@@ -7,14 +7,19 @@
 //! [`TrialOutcome::to_record`]. The `_trials` variants take a worker-thread
 //! count; per-trial seeding makes the outcomes independent of it.
 
+use std::time::Instant;
+
 use population::{
-    AnyScheduler, ChaosTrialOutcome, ConvergenceSample, FaultAction, FaultPlan, FaultSize,
-    Reliability, Runner, TrialOutcome, TrialSettings,
+    AnyScheduler, BatchSimulation, ChaosTrialOutcome, ConvergenceSample, Corruptor, FaultAction,
+    FaultPlan, FaultSize, NoFaults, NoopObserver, Protocol, RankingProtocol, Reliability,
+    RunOutcome, Runner, Simulation, SimulationBackend, TrialOutcome, TrialSettings,
 };
+use rand::rngs::SmallRng;
+use rand::Rng;
 use ssle::adversary;
-use ssle::cai_izumi_wada::CaiIzumiWada;
-use ssle::optimal_silent::OptimalSilentSsr;
-use ssle::sublinear::SublinearTimeSsr;
+use ssle::cai_izumi_wada::{CaiIzumiWada, CiwState};
+use ssle::optimal_silent::{OptimalSilentSsr, OssState};
+use ssle::sublinear::{SubState, SublinearTimeSsr};
 
 /// Starting configuration family for Silent-n-state-SSR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,6 +78,93 @@ fn sublinear_budget(n: usize) -> u64 {
     400 * (n as u64).pow(2)
 }
 
+/// Settings for a ranked measurement: the confirmation window is four
+/// parallel-time units.
+fn settings(n: usize, trials: u64, base_seed: u64, budget: u64) -> TrialSettings {
+    TrialSettings::new(trials, base_seed, budget, 4 * n as u64)
+}
+
+/// Silent-n-state-SSR and its `start` configuration.
+fn ciw_start(n: usize, start: CiwStart, rng: &mut SmallRng) -> (CaiIzumiWada, Vec<CiwState>) {
+    let protocol = CaiIzumiWada::new(n);
+    let initial = match start {
+        CiwStart::Random => adversary::random_ciw_configuration(&protocol, rng),
+        CiwStart::Barrier => protocol.worst_case_configuration(),
+        CiwStart::AllZero => vec![CiwState::new(0); n],
+    };
+    (protocol, initial)
+}
+
+/// Optimal-Silent-SSR and its `start` configuration.
+fn oss_start(n: usize, start: OssStart, rng: &mut SmallRng) -> (OptimalSilentSsr, Vec<OssState>) {
+    let protocol = OptimalSilentSsr::new(n);
+    let initial = match start {
+        OssStart::Random => adversary::random_oss_configuration(&protocol, rng),
+        OssStart::AllRankOne => vec![OssState::settled(1, 0); n],
+        OssStart::DuplicatedLeader => adversary::observation_2_2_configuration(&protocol),
+    };
+    (protocol, initial)
+}
+
+/// Sublinear-Time-SSR (depth `h`) and its `start` configuration.
+fn sub_start(
+    n: usize,
+    h: u32,
+    start: SubStart,
+    rng: &mut SmallRng,
+) -> (SublinearTimeSsr, Vec<SubState>) {
+    let protocol = SublinearTimeSsr::new(n, h);
+    let initial = match start {
+        SubStart::Random => adversary::random_sublinear_configuration(&protocol, rng),
+        SubStart::UniqueNames => adversary::unique_names_configuration(&protocol),
+        SubStart::PlantedCollision => adversary::planted_collision_configuration(&protocol),
+        SubStart::GhostName => adversary::ghost_name_configuration(&protocol),
+    };
+    (protocol, initial)
+}
+
+/// Runs ranked trials over `threads` workers: `start` draws each trial's
+/// protocol and configuration from its config RNG, `build` puts them on a
+/// backend seeded with the trial's execution seed.
+fn ranked_trials<P, B>(
+    settings: TrialSettings,
+    threads: usize,
+    start: impl Fn(&mut SmallRng) -> (P, Vec<P::State>) + Sync,
+    build: impl Fn(P, Vec<P::State>, u64) -> B + Sync,
+) -> Vec<TrialOutcome>
+where
+    P: RankingProtocol,
+    B: SimulationBackend<P>,
+{
+    Runner::new(settings).run(
+        threads,
+        |s| {
+            let (protocol, initial) = start(&mut s.config_rng());
+            TrialOutcome::measure(s.trial, &mut build(protocol, initial, s.execution), &settings)
+        },
+        |_| {},
+    )
+}
+
+/// A [`ranked_trials`] builder for the agent array under the scheduler
+/// `spec` (see [`AnyScheduler::from_spec`]) and omission rate `omission`.
+///
+/// # Panics
+///
+/// The builder panics on a malformed scheduler spec.
+fn scheduled<P: Protocol>(
+    spec: &str,
+    omission: f64,
+) -> impl Fn(P, Vec<P::State>, u64) -> Simulation<P, NoopObserver, NoFaults, AnyScheduler> + Sync + '_
+{
+    move |protocol, initial, seed| {
+        let policy =
+            AnyScheduler::from_spec(spec, initial.len()).expect("scheduler spec validated");
+        Simulation::with_policy(protocol, initial, policy, seed)
+            .with_reliability(Reliability::with_omission(omission))
+    }
+}
+
 /// Measures Silent-n-state-SSR stabilization times with the **exact jump
 /// chain** ([`ssle::ciw_fast`]) instead of the generic engine — identical
 /// distribution, Θ(n) fewer scheduler draws, enabling the Θ(n²) baseline at
@@ -96,31 +188,24 @@ pub fn measure_ciw_fast_trials(
     trials: u64,
     base_seed: u64,
 ) -> Vec<TrialOutcome> {
-    use population::runner::{derive_seed, rng_from_seed};
-    use population::RunOutcome;
     use ssle::ciw_fast::{stabilization_interactions, CiwCounts};
-    let protocol = CaiIzumiWada::new(n);
-    let mut out = Vec::with_capacity(trials as usize);
-    for trial in 0..trials {
-        let mut config_rng = rng_from_seed(derive_seed(base_seed, 2 * trial));
-        let initial = match start {
-            CiwStart::Random => adversary::random_ciw_configuration(&protocol, &mut config_rng),
-            CiwStart::Barrier => protocol.worst_case_configuration(),
-            CiwStart::AllZero => vec![ssle::cai_izumi_wada::CiwState::new(0); n],
-        };
-        let started = std::time::Instant::now();
-        let interactions = stabilization_interactions(
-            CiwCounts::from_states(&initial),
-            derive_seed(base_seed, 2 * trial + 1),
-        );
-        out.push(TrialOutcome {
-            trial,
-            n,
-            outcome: RunOutcome::Converged { interactions },
-            wall: started.elapsed(),
-        });
-    }
-    out
+    // The jump chain always runs to stabilization: no budget applies.
+    Runner::new(settings(n, trials, base_seed, u64::MAX)).run(
+        1,
+        |s| {
+            let (_, initial) = ciw_start(n, start, &mut s.config_rng());
+            let started = Instant::now();
+            let interactions =
+                stabilization_interactions(CiwCounts::from_states(&initial), s.execution);
+            TrialOutcome {
+                trial: s.trial,
+                n,
+                outcome: RunOutcome::Converged { interactions },
+                wall: started.elapsed(),
+            }
+        },
+        |_| {},
+    )
 }
 
 /// Measures Silent-n-state-SSR stabilization times over `trials` runs.
@@ -136,16 +221,12 @@ pub fn measure_ciw_trials(
     base_seed: u64,
     threads: usize,
 ) -> Vec<TrialOutcome> {
-    let settings = TrialSettings::new(trials, base_seed, quadratic_budget(n), 4 * n as u64);
-    Runner::new(settings).run_trials_parallel(threads, |_, rng| {
-        let protocol = CaiIzumiWada::new(n);
-        let initial = match start {
-            CiwStart::Random => adversary::random_ciw_configuration(&protocol, rng),
-            CiwStart::Barrier => protocol.worst_case_configuration(),
-            CiwStart::AllZero => vec![ssle::cai_izumi_wada::CiwState::new(0); n],
-        };
-        (protocol, initial)
-    })
+    ranked_trials(
+        settings(n, trials, base_seed, quadratic_budget(n)),
+        threads,
+        |rng| ciw_start(n, start, rng),
+        Simulation::new,
+    )
 }
 
 /// Measures Optimal-Silent-SSR stabilization times over `trials` runs.
@@ -161,16 +242,12 @@ pub fn measure_oss_trials(
     base_seed: u64,
     threads: usize,
 ) -> Vec<TrialOutcome> {
-    let settings = TrialSettings::new(trials, base_seed, linear_budget(n), 4 * n as u64);
-    Runner::new(settings).run_trials_parallel(threads, |_, rng| {
-        let protocol = OptimalSilentSsr::new(n);
-        let initial = match start {
-            OssStart::Random => adversary::random_oss_configuration(&protocol, rng),
-            OssStart::AllRankOne => vec![ssle::optimal_silent::OssState::settled(1, 0); n],
-            OssStart::DuplicatedLeader => adversary::observation_2_2_configuration(&protocol),
-        };
-        (protocol, initial)
-    })
+    ranked_trials(
+        settings(n, trials, base_seed, linear_budget(n)),
+        threads,
+        |rng| oss_start(n, start, rng),
+        Simulation::new,
+    )
 }
 
 /// [`measure_ciw_trials`] on the count-based backend: same protocol, same
@@ -186,16 +263,12 @@ pub fn measure_ciw_counts_trials(
     base_seed: u64,
     threads: usize,
 ) -> Vec<TrialOutcome> {
-    let settings = TrialSettings::new(trials, base_seed, quadratic_budget(n), 4 * n as u64);
-    Runner::new(settings).run_trials_counts_parallel(threads, |_, rng| {
-        let protocol = CaiIzumiWada::new(n);
-        let initial = match start {
-            CiwStart::Random => adversary::random_ciw_configuration(&protocol, rng),
-            CiwStart::Barrier => protocol.worst_case_configuration(),
-            CiwStart::AllZero => vec![ssle::cai_izumi_wada::CiwState::new(0); n],
-        };
-        (protocol, initial)
-    })
+    ranked_trials(
+        settings(n, trials, base_seed, quadratic_budget(n)),
+        threads,
+        |rng| ciw_start(n, start, rng),
+        BatchSimulation::new,
+    )
 }
 
 /// [`measure_oss_trials`] on the count-based backend (see
@@ -207,16 +280,12 @@ pub fn measure_oss_counts_trials(
     base_seed: u64,
     threads: usize,
 ) -> Vec<TrialOutcome> {
-    let settings = TrialSettings::new(trials, base_seed, linear_budget(n), 4 * n as u64);
-    Runner::new(settings).run_trials_counts_parallel(threads, |_, rng| {
-        let protocol = OptimalSilentSsr::new(n);
-        let initial = match start {
-            OssStart::Random => adversary::random_oss_configuration(&protocol, rng),
-            OssStart::AllRankOne => vec![ssle::optimal_silent::OssState::settled(1, 0); n],
-            OssStart::DuplicatedLeader => adversary::observation_2_2_configuration(&protocol),
-        };
-        (protocol, initial)
-    })
+    ranked_trials(
+        settings(n, trials, base_seed, linear_budget(n)),
+        threads,
+        |rng| oss_start(n, start, rng),
+        BatchSimulation::new,
+    )
 }
 
 /// Measures Sublinear-Time-SSR (depth `h`) stabilization times over
@@ -240,17 +309,12 @@ pub fn measure_sublinear_trials(
     base_seed: u64,
     threads: usize,
 ) -> Vec<TrialOutcome> {
-    let settings = TrialSettings::new(trials, base_seed, sublinear_budget(n), 4 * n as u64);
-    Runner::new(settings).run_trials_parallel(threads, |_, rng| {
-        let protocol = SublinearTimeSsr::new(n, h);
-        let initial = match start {
-            SubStart::Random => adversary::random_sublinear_configuration(&protocol, rng),
-            SubStart::UniqueNames => adversary::unique_names_configuration(&protocol),
-            SubStart::PlantedCollision => adversary::planted_collision_configuration(&protocol),
-            SubStart::GhostName => adversary::ghost_name_configuration(&protocol),
-        };
-        (protocol, initial)
-    })
+    ranked_trials(
+        settings(n, trials, base_seed, sublinear_budget(n)),
+        threads,
+        |rng| sub_start(n, h, start, rng),
+        Simulation::new,
+    )
 }
 
 /// Interaction budget for a robustness run: omission thins effective
@@ -286,17 +350,12 @@ pub fn measure_ciw_scheduled_trials(
     threads: usize,
 ) -> Vec<TrialOutcome> {
     let budget = robustness_budget(quadratic_budget(n), omission);
-    let settings = TrialSettings::new(trials, base_seed, budget, 4 * n as u64);
-    Runner::new(settings).run_trials_scheduled_parallel(threads, |_, rng| {
-        let protocol = CaiIzumiWada::new(n);
-        let initial = match start {
-            CiwStart::Random => adversary::random_ciw_configuration(&protocol, rng),
-            CiwStart::Barrier => protocol.worst_case_configuration(),
-            CiwStart::AllZero => vec![ssle::cai_izumi_wada::CiwState::new(0); n],
-        };
-        let policy = AnyScheduler::from_spec(scheduler, n).expect("scheduler spec validated");
-        (protocol, initial, policy, Reliability::with_omission(omission))
-    })
+    ranked_trials(
+        settings(n, trials, base_seed, budget),
+        threads,
+        |rng| ciw_start(n, start, rng),
+        scheduled(scheduler, omission),
+    )
 }
 
 /// [`measure_oss_trials`] under an explicit scheduler policy and omission
@@ -316,17 +375,12 @@ pub fn measure_oss_scheduled_trials(
     threads: usize,
 ) -> Vec<TrialOutcome> {
     let budget = robustness_budget(linear_budget(n), omission);
-    let settings = TrialSettings::new(trials, base_seed, budget, 4 * n as u64);
-    Runner::new(settings).run_trials_scheduled_parallel(threads, |_, rng| {
-        let protocol = OptimalSilentSsr::new(n);
-        let initial = match start {
-            OssStart::Random => adversary::random_oss_configuration(&protocol, rng),
-            OssStart::AllRankOne => vec![ssle::optimal_silent::OssState::settled(1, 0); n],
-            OssStart::DuplicatedLeader => adversary::observation_2_2_configuration(&protocol),
-        };
-        let policy = AnyScheduler::from_spec(scheduler, n).expect("scheduler spec validated");
-        (protocol, initial, policy, Reliability::with_omission(omission))
-    })
+    ranked_trials(
+        settings(n, trials, base_seed, budget),
+        threads,
+        |rng| oss_start(n, start, rng),
+        scheduled(scheduler, omission),
+    )
 }
 
 /// [`measure_sublinear_trials`] under an explicit scheduler policy and
@@ -348,29 +402,38 @@ pub fn measure_sublinear_scheduled_trials(
     threads: usize,
 ) -> Vec<TrialOutcome> {
     let budget = robustness_budget(sublinear_budget(n), omission);
-    let settings = TrialSettings::new(trials, base_seed, budget, 4 * n as u64);
-    Runner::new(settings).run_trials_scheduled_parallel(threads, |_, rng| {
-        let protocol = SublinearTimeSsr::new(n, h);
-        let initial = match start {
-            SubStart::Random => adversary::random_sublinear_configuration(&protocol, rng),
-            SubStart::UniqueNames => adversary::unique_names_configuration(&protocol),
-            SubStart::PlantedCollision => adversary::planted_collision_configuration(&protocol),
-            SubStart::GhostName => adversary::ghost_name_configuration(&protocol),
-        };
-        let policy = AnyScheduler::from_spec(scheduler, n).expect("scheduler spec validated");
-        (protocol, initial, policy, Reliability::with_omission(omission))
-    })
+    ranked_trials(
+        settings(n, trials, base_seed, budget),
+        threads,
+        |rng| sub_start(n, h, start, rng),
+        scheduled(scheduler, omission),
+    )
 }
 
-/// The fault plan every recovery trial uses: stabilize from an adversarial
-/// random start, wait one unit of parallel time, then corrupt `size` agents.
+/// Runs recovery trials: stabilize from `start`'s configuration, wait one
+/// unit of parallel time, then corrupt `size` agents.
 ///
 /// The single run therefore measures **both** quantities of interest: the
 /// full-stabilization time (first stable ranking) and the recovery time
 /// (the fault's injection-to-reranking gap).
-fn recovery_plan(rng: &mut rand::rngs::SmallRng, n: usize, size: FaultSize) -> FaultPlan {
-    use rand::Rng;
-    FaultPlan::new(rng.gen()).after_convergence(n as u64, FaultAction::CorruptRandom(size))
+fn recovery_trials<P: Corruptor>(
+    settings: TrialSettings,
+    threads: usize,
+    size: FaultSize,
+    start: impl Fn(&mut SmallRng) -> (P, Vec<P::State>) + Sync,
+) -> Vec<ChaosTrialOutcome> {
+    Runner::new(settings).run(
+        threads,
+        |s| {
+            let mut rng = s.config_rng();
+            let (protocol, initial) = start(&mut rng);
+            let plan = FaultPlan::new(rng.gen())
+                .after_convergence(initial.len() as u64, FaultAction::CorruptRandom(size));
+            let mut sim = Simulation::new(protocol, initial, s.execution).with_fault_plan(&plan);
+            ChaosTrialOutcome::measure(s.trial, &mut sim, settings.max_interactions)
+        },
+        |_| {},
+    )
 }
 
 /// Measures Silent-n-state-SSR recovery from a `size`-agent corruption
@@ -382,12 +445,8 @@ pub fn measure_recovery_ciw_trials(
     base_seed: u64,
     threads: usize,
 ) -> Vec<ChaosTrialOutcome> {
-    let settings = TrialSettings::new(trials, base_seed, quadratic_budget(n), 4 * n as u64);
-    Runner::new(settings).run_chaos_trials_parallel(threads, |_, rng| {
-        let protocol = CaiIzumiWada::new(n);
-        let initial = adversary::random_ciw_configuration(&protocol, rng);
-        let plan = recovery_plan(rng, n, size);
-        (protocol, initial, plan)
+    recovery_trials(settings(n, trials, base_seed, quadratic_budget(n)), threads, size, |rng| {
+        ciw_start(n, CiwStart::Random, rng)
     })
 }
 
@@ -400,12 +459,8 @@ pub fn measure_recovery_oss_trials(
     base_seed: u64,
     threads: usize,
 ) -> Vec<ChaosTrialOutcome> {
-    let settings = TrialSettings::new(trials, base_seed, linear_budget(n), 4 * n as u64);
-    Runner::new(settings).run_chaos_trials_parallel(threads, |_, rng| {
-        let protocol = OptimalSilentSsr::new(n);
-        let initial = adversary::random_oss_configuration(&protocol, rng);
-        let plan = recovery_plan(rng, n, size);
-        (protocol, initial, plan)
+    recovery_trials(settings(n, trials, base_seed, linear_budget(n)), threads, size, |rng| {
+        oss_start(n, OssStart::Random, rng)
     })
 }
 
@@ -419,12 +474,8 @@ pub fn measure_recovery_sublinear_trials(
     base_seed: u64,
     threads: usize,
 ) -> Vec<ChaosTrialOutcome> {
-    let settings = TrialSettings::new(trials, base_seed, sublinear_budget(n), 4 * n as u64);
-    Runner::new(settings).run_chaos_trials_parallel(threads, |_, rng| {
-        let protocol = SublinearTimeSsr::new(n, h);
-        let initial = adversary::random_sublinear_configuration(&protocol, rng);
-        let plan = recovery_plan(rng, n, size);
-        (protocol, initial, plan)
+    recovery_trials(settings(n, trials, base_seed, sublinear_budget(n)), threads, size, |rng| {
+        sub_start(n, h, SubStart::Random, rng)
     })
 }
 

@@ -8,8 +8,8 @@ use population::runner::rng_from_seed;
 use population::timeline::DEFAULT_TIMELINE_CAPACITY;
 use population::{
     certify_ranking_closure, derive_seed, BatchSimulation, ByzantineSet, ChurnPlan,
-    ClosureCertificate, Corruptor, DynamicsReport, Metrics, MetricsSink, NoopMetrics,
-    RankingProtocol, RecordLine, RunOutcome, SchedulerPolicy, Simulation, Timeline,
+    ClosureCertificate, Corruptor, DynamicBackend, DynamicsReport, Metrics, MetricsSink,
+    NoopMetrics, RankingProtocol, RecordLine, RunOutcome, SchedulerPolicy, Simulation, Timeline,
     TimelineObserver,
 };
 use ssle::adversary;
@@ -261,12 +261,15 @@ fn dynamics_mode(
                 Start::Collision => vec![CiwState::new(0); n],
                 Start::Ranked => adversary::ranked_ciw_configuration(&p),
             };
+            let seed = common.seed;
             match backend {
                 BackendChoice::Agents => {
-                    dynamics_report(common, churn_spec, churn, byz, p, initial, max, format)
+                    let sim = Simulation::new(p, initial, seed);
+                    dynamics_report(common, churn_spec, churn, byz, sim, max, format)
                 }
                 BackendChoice::Counts => {
-                    counts_dynamics_report(common, churn_spec, churn, byz, p, initial, max, format)
+                    let sim = BatchSimulation::new(p, initial, seed);
+                    dynamics_report(common, churn_spec, churn, byz, sim, max, format)
                 }
             }
         }
@@ -279,12 +282,15 @@ fn dynamics_mode(
                 Start::Collision => vec![OssState::settled(1, 0); n],
                 Start::Ranked => adversary::ranked_oss_configuration(&p),
             };
+            let seed = common.seed;
             match backend {
                 BackendChoice::Agents => {
-                    dynamics_report(common, churn_spec, churn, byz, p, initial, max, format)
+                    let sim = Simulation::new(p, initial, seed);
+                    dynamics_report(common, churn_spec, churn, byz, sim, max, format)
                 }
                 BackendChoice::Counts => {
-                    counts_dynamics_report(common, churn_spec, churn, byz, p, initial, max, format)
+                    let sim = BatchSimulation::new(p, initial, seed);
+                    dynamics_report(common, churn_spec, churn, byz, sim, max, format)
                 }
             }
         }
@@ -298,7 +304,8 @@ fn dynamics_mode(
                 Start::Collision => adversary::planted_collision_configuration(&p),
                 Start::Ranked => adversary::unique_names_configuration(&p),
             };
-            dynamics_report(common, churn_spec, churn, byz, p, initial, max, format)
+            let sim = Simulation::new(p, initial, common.seed);
+            dynamics_report(common, churn_spec, churn, byz, sim, max, format)
         }
         (ProtocolChoice::Sublinear, BackendChoice::Counts) => Err(CliError::BadValue {
             flag: "backend".into(),
@@ -316,43 +323,20 @@ fn dynamics_mode(
     }
 }
 
-/// Runs the dynamics driver on the agent-array backend and renders it.
-#[allow(clippy::too_many_arguments)]
-fn dynamics_report<P: Corruptor>(
+/// Runs the dynamics driver on `sim` and renders it. The counts backend
+/// runs the lumped Byzantine model — counts have no agent identities to
+/// pin.
+fn dynamics_report<P: Corruptor, B: DynamicBackend<P>>(
     common: &CommonFlags,
     churn_spec: &str,
     churn: &ChurnPlan,
     byz: &ByzantineSet,
-    protocol: P,
-    initial: Vec<P::State>,
+    mut sim: B,
     max: u64,
     format: OutputFormat,
 ) -> Result<String, CliError> {
-    let mut sim = Simulation::new(protocol, initial, common.seed);
     let report = sim.run_dynamics(churn, byz, max);
-    Ok(render_dynamics(common, "agents", churn_spec, byz.fraction, &report, format))
-}
-
-/// [`dynamics_report`] on the count-based backend (lumped Byzantine model —
-/// counts have no agent identities to pin).
-#[allow(clippy::too_many_arguments)]
-fn counts_dynamics_report<P>(
-    common: &CommonFlags,
-    churn_spec: &str,
-    churn: &ChurnPlan,
-    byz: &ByzantineSet,
-    protocol: P,
-    initial: Vec<P::State>,
-    max: u64,
-    format: OutputFormat,
-) -> Result<String, CliError>
-where
-    P: Corruptor,
-    P::State: Eq + Hash,
-{
-    let mut sim = BatchSimulation::new(protocol, initial, common.seed);
-    let report = sim.run_dynamics(churn, byz, max);
-    Ok(render_dynamics(common, "counts", churn_spec, byz.fraction, &report, format))
+    Ok(render_dynamics(common, B::NAME, churn_spec, byz.fraction, &report, format))
 }
 
 /// Renders a [`DynamicsReport`] in either output format.

@@ -11,11 +11,14 @@
 //! predictable fraction of its time re-converging.
 
 use population::record::{to_jsonl_mixed, RecordLine};
+use std::hash::Hash;
+
 use population::{
-    AnyScheduler, ByzantineSet, ChaosTrialOutcome, ChurnPlan, Corruptor, DynamicsTrialOutcome,
-    FaultAction, FaultPlan, FaultSize, Metrics, Progress, Runner, SchedulerPolicy, TrialSettings,
+    AnyScheduler, BatchSimulation, ByzantineSet, ChaosTrialOutcome, ChurnPlan, Corruptor,
+    DynamicsTrialOutcome, FaultAction, FaultPlan, FaultSize, Metrics, MetricsSink, NoopMetrics,
+    Progress, Protocol, Reliability, Runner, SchedulerPolicy, Simulation, TrialSeeds,
+    TrialSettings,
 };
-use rand::rngs::SmallRng;
 use rand::Rng;
 use ssle::adversary;
 use ssle::{CaiIzumiWada, OptimalSilentSsr, SublinearTimeSsr};
@@ -138,190 +141,46 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         });
     }
     let trials: u64 = flags.get("trials", 4);
-    let threads = flags.threads();
+    if trials == 0 {
+        return Err(CliError::BadValue {
+            flag: "trials".into(),
+            reason: "must be positive".into(),
+        });
+    }
     // `--progress 1` prints a per-trial heartbeat to stderr; trials then run
     // sequentially so completions arrive in order (outcomes are identical —
     // per-trial seeds do not depend on scheduling).
     let progress = flags.get::<u64>("progress", 0) != 0;
-    let period = 1.0 / rate;
     let n = common.n;
     let budget = (time * n as f64).ceil() as u64;
-
-    if dynamics {
+    let soak = Soak {
+        runner: Runner::new(TrialSettings::new(trials, common.seed, budget, 0)),
+        threads: flags.threads(),
+        progress,
+        metrics: collect_metrics,
+        robust: &robust,
         // Fault plans stay optional under dynamics: membership events open
         // their own recovery clocks.
-        let fault_period = (rate > 0.0).then_some(period);
-        let outcomes = match (common.protocol, backend) {
-            (ProtocolChoice::Ciw, BackendChoice::Agents) => soak_dynamics_trials(
-                || CaiIzumiWada::new(n),
-                fault_period,
-                action,
-                &churn,
-                byzantine,
-                trials,
-                common.seed,
-                budget,
-                threads,
-                progress,
-            ),
-            (ProtocolChoice::Ciw, BackendChoice::Counts) => soak_dynamics_trials_counts(
-                || CaiIzumiWada::new(n),
-                fault_period,
-                action,
-                &churn,
-                byzantine,
-                trials,
-                common.seed,
-                budget,
-                threads,
-                progress,
-            ),
-            (ProtocolChoice::OptimalSilent, BackendChoice::Agents) => soak_dynamics_trials(
-                || OptimalSilentSsr::new(n),
-                fault_period,
-                action,
-                &churn,
-                byzantine,
-                trials,
-                common.seed,
-                budget,
-                threads,
-                progress,
-            ),
-            (ProtocolChoice::OptimalSilent, BackendChoice::Counts) => soak_dynamics_trials_counts(
-                || OptimalSilentSsr::new(n),
-                fault_period,
-                action,
-                &churn,
-                byzantine,
-                trials,
-                common.seed,
-                budget,
-                threads,
-                progress,
-            ),
-            (ProtocolChoice::Sublinear, BackendChoice::Agents) => soak_dynamics_trials(
-                || SublinearTimeSsr::new(n, common.h),
-                fault_period,
-                action,
-                &churn,
-                byzantine,
-                trials,
-                common.seed,
-                budget,
-                threads,
-                progress,
-            ),
-            (ProtocolChoice::Sublinear, BackendChoice::Counts) => {
-                return Err(CliError::BadValue {
-                    flag: "backend".into(),
-                    reason: "sublinear states are not hashable; the counts backend soaks \
-                             ciw or optimal-silent"
-                        .into(),
-                })
-            }
-            (other, _) => {
-                return Err(CliError::BadValue {
-                    flag: "protocol".into(),
-                    reason: format!(
-                        "{other:?} has no mid-run corruption model; pick ciw, optimal-silent, \
-                         or sublinear"
-                    ),
-                })
-            }
-        };
-        if let Some(path) = flags.try_get_str("json-out") {
-            let h = protocol_h(common.protocol, common.h);
-            let label = protocol_label(common.protocol);
-            let mut records: Vec<RecordLine> = Vec::new();
-            for o in &outcomes {
-                records.push(RecordLine::Churn(o.churn_record(
-                    "soak",
-                    label,
-                    backend.label(),
-                    h,
-                    common.seed,
-                    &churn_spec,
-                    byzantine,
-                )));
-                records.extend(
-                    o.fault_records("soak", label, h, common.seed)
-                        .into_iter()
-                        .map(RecordLine::Fault),
-                );
-            }
-            std::fs::write(path, to_jsonl_mixed(&records))
-                .map_err(|e| CliError::Report { path: path.to_string(), reason: e.to_string() })?;
+        fault_period: (rate > 0.0).then_some(1.0 / rate),
+        action,
+        churn: dynamics.then_some((&churn, byzantine)),
+    };
+    let outcomes = match (common.protocol, backend) {
+        (ProtocolChoice::Ciw, BackendChoice::Agents) => {
+            soak.trials(|| CaiIzumiWada::new(n), Agents)
         }
-        return Ok(match format {
-            OutputFormat::Text => {
-                render_dynamics_text(&common, rate, &churn_spec, byzantine, time, &outcomes)
-            }
-            OutputFormat::Json => {
-                render_dynamics_json(&common, rate, &churn_spec, byzantine, time, &outcomes)
-            }
-        });
-    }
-
-    let (outcomes, trial_metrics) = match (common.protocol, backend) {
-        (ProtocolChoice::Ciw, BackendChoice::Agents) => soak_trials(
-            || CaiIzumiWada::new(n),
-            &robust,
-            period,
-            action,
-            trials,
-            common.seed,
-            budget,
-            threads,
-            progress,
-            collect_metrics,
-        ),
-        (ProtocolChoice::Ciw, BackendChoice::Counts) => soak_trials_counts(
-            || CaiIzumiWada::new(n),
-            period,
-            action,
-            trials,
-            common.seed,
-            budget,
-            threads,
-            progress,
-            collect_metrics,
-        ),
-        (ProtocolChoice::OptimalSilent, BackendChoice::Agents) => soak_trials(
-            || OptimalSilentSsr::new(n),
-            &robust,
-            period,
-            action,
-            trials,
-            common.seed,
-            budget,
-            threads,
-            progress,
-            collect_metrics,
-        ),
-        (ProtocolChoice::OptimalSilent, BackendChoice::Counts) => soak_trials_counts(
-            || OptimalSilentSsr::new(n),
-            period,
-            action,
-            trials,
-            common.seed,
-            budget,
-            threads,
-            progress,
-            collect_metrics,
-        ),
-        (ProtocolChoice::Sublinear, BackendChoice::Agents) => soak_trials(
-            || SublinearTimeSsr::new(n, common.h),
-            &robust,
-            period,
-            action,
-            trials,
-            common.seed,
-            budget,
-            threads,
-            progress,
-            collect_metrics,
-        ),
+        (ProtocolChoice::Ciw, BackendChoice::Counts) => {
+            soak.trials(|| CaiIzumiWada::new(n), Counts)
+        }
+        (ProtocolChoice::OptimalSilent, BackendChoice::Agents) => {
+            soak.trials(|| OptimalSilentSsr::new(n), Agents)
+        }
+        (ProtocolChoice::OptimalSilent, BackendChoice::Counts) => {
+            soak.trials(|| OptimalSilentSsr::new(n), Counts)
+        }
+        (ProtocolChoice::Sublinear, BackendChoice::Agents) => {
+            soak.trials(|| SublinearTimeSsr::new(n, common.h), Agents)
+        }
         (ProtocolChoice::Sublinear, BackendChoice::Counts) => {
             return Err(CliError::BadValue {
                 flag: "backend".into(),
@@ -334,10 +193,48 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             return Err(CliError::BadValue {
                 flag: "protocol".into(),
                 reason: format!(
-                    "{:?} has no mid-run corruption model; pick ciw, optimal-silent, or sublinear",
-                    other
+                    "{other:?} has no mid-run corruption model; pick ciw, optimal-silent, \
+                     or sublinear"
                 ),
             })
+        }
+    };
+    let (outcomes, trial_metrics) = match outcomes {
+        SoakOutcomes::Chaos(outcomes, trial_metrics) => (outcomes, trial_metrics),
+        SoakOutcomes::Dynamics(outcomes) => {
+            if let Some(path) = flags.try_get_str("json-out") {
+                let h = protocol_h(common.protocol, common.h);
+                let label = protocol_label(common.protocol);
+                let mut records: Vec<RecordLine> = Vec::new();
+                for o in &outcomes {
+                    records.push(RecordLine::Churn(o.churn_record(
+                        "soak",
+                        label,
+                        backend.label(),
+                        h,
+                        common.seed,
+                        &churn_spec,
+                        byzantine,
+                    )));
+                    records.extend(
+                        o.fault_records("soak", label, h, common.seed)
+                            .into_iter()
+                            .map(RecordLine::Fault),
+                    );
+                }
+                std::fs::write(path, to_jsonl_mixed(&records)).map_err(|e| CliError::Report {
+                    path: path.to_string(),
+                    reason: e.to_string(),
+                })?;
+            }
+            return Ok(match format {
+                OutputFormat::Text => {
+                    render_dynamics_text(&common, rate, &churn_spec, byzantine, time, &outcomes)
+                }
+                OutputFormat::Json => {
+                    render_dynamics_json(&common, rate, &churn_spec, byzantine, time, &outcomes)
+                }
+            });
         }
     };
 
@@ -467,17 +364,6 @@ fn parse_action(name: &str, size: FaultSize) -> Result<FaultAction, CliError> {
     }
 }
 
-/// A per-trial heartbeat meter for `--progress` soaks: total work is the
-/// whole batch's interaction budget, so the rate line reads in
-/// interactions/second with an ETA over the remaining trials.
-fn soak_meter(trials: u64, budget: u64, progress: bool) -> Progress {
-    if progress {
-        Progress::new("soak", trials.saturating_mul(budget), "interactions")
-    } else {
-        Progress::disabled()
-    }
-}
-
 /// The heartbeat detail for one finished trial.
 fn soak_detail(o: &ChaosTrialOutcome) -> String {
     format!(
@@ -502,132 +388,189 @@ fn soak_metrics_detail(o: &ChaosTrialOutcome, m: &Metrics) -> String {
     format!("{}, {ips} ips", soak_detail(o))
 }
 
-/// Runs the soak trials for one protocol type: adversarial random start,
-/// repeating fault plan, fixed interaction budget. Default robustness flags
-/// take the original chaos path so uniform/perfect soaks stay bit-identical
-/// with earlier releases; anything else routes through the scheduled runner.
-/// With `progress`, trials run sequentially through the observed runners
-/// and a heartbeat is printed to stderr after each one. With `metrics`,
-/// trials run sequentially through the instrumented runner (uniform
-/// complete scheduling only — `run` rejects the combination otherwise) and
-/// the per-trial sinks come back alongside the outcomes; the returned
-/// metrics vector is empty otherwise.
-#[allow(clippy::too_many_arguments)] // the robustness flags push past 7
-fn soak_trials<P, M>(
-    make_protocol: M,
-    robust: &RobustnessFlags,
-    period: f64,
-    action: FaultAction,
-    trials: u64,
-    seed: u64,
-    budget: u64,
-    threads: usize,
-    progress: bool,
-    metrics: bool,
-) -> (Vec<ChaosTrialOutcome>, Vec<Metrics>)
-where
-    P: Corruptor + Send,
-    P::State: Send,
-    M: Fn() -> P + Sync,
-{
-    let settings = TrialSettings::new(trials, seed, budget, 0);
-    let make = |_: u64, rng: &mut SmallRng| {
-        let protocol = make_protocol();
-        let initial = adversary::random_configuration(&protocol, rng);
-        let plan = FaultPlan::new(rng.gen()).every_parallel_time(period, action);
-        (protocol, initial, plan)
-    };
-    if metrics {
-        let mut meter = soak_meter(trials, budget, progress);
-        let out = Runner::new(settings).run_chaos_trials_metrics(make, |o, m| {
-            meter.tick((o.trial + 1).saturating_mul(budget), &soak_metrics_detail(o, m));
-        });
-        meter.finish(trials.saturating_mul(budget), "done");
-        return out.into_iter().unzip();
-    }
-    let outcomes = if robust.is_default() {
-        if progress {
-            let mut meter = soak_meter(trials, budget, true);
-            let out = Runner::new(settings).run_chaos_trials_observed(make, |o| {
-                meter.tick((o.trial + 1).saturating_mul(budget), &soak_detail(o));
-            });
-            meter.finish(trials.saturating_mul(budget), "done");
-            out
-        } else {
-            Runner::new(settings).run_chaos_trials_parallel(threads, make)
-        }
-    } else {
-        let spec = robust.scheduler.clone();
-        let omission = robust.omission;
-        let make_scheduled = move |t: u64, rng: &mut SmallRng| {
-            let (protocol, initial, plan) = make(t, rng);
-            let policy = AnyScheduler::from_spec(&spec, initial.len())
-                .expect("scheduler spec validated before dispatch");
-            (protocol, initial, plan, policy, population::Reliability::with_omission(omission))
-        };
-        if progress {
-            let mut meter = soak_meter(trials, budget, true);
-            let out = Runner::new(settings).run_chaos_trials_scheduled_observed(
-                make_scheduled,
-                |o: &ChaosTrialOutcome| {
-                    meter.tick((o.trial + 1).saturating_mul(budget), &soak_detail(o));
-                },
-            );
-            meter.finish(trials.saturating_mul(budget), "done");
-            out
-        } else {
-            Runner::new(settings).run_chaos_trials_scheduled_parallel(threads, make_scheduled)
-        }
-    };
-    (outcomes, Vec::new())
+/// What a soak measured: chaos trials (with one metrics sink per trial
+/// when instrumented, none otherwise) or dynamic-population trials.
+enum SoakOutcomes {
+    Chaos(Vec<ChaosTrialOutcome>, Vec<Metrics>),
+    Dynamics(Vec<DynamicsTrialOutcome>),
 }
 
-/// [`soak_trials`] on the count-based backend: identical fault plans and
-/// seed derivation, executed by `BatchSimulation::run_chaos` (faults are
-/// injected by materializing the multiset, corrupting, and recompressing).
-#[allow(clippy::too_many_arguments)]
-fn soak_trials_counts<P, M>(
-    make_protocol: M,
-    period: f64,
-    action: FaultAction,
-    trials: u64,
-    seed: u64,
-    budget: u64,
+/// One soak's settings: every trial starts from an adversarial random
+/// configuration and runs a fixed interaction budget under a repeating
+/// fault plan — plus churn and Byzantine agents when `churn` is set.
+struct Soak<'a> {
+    runner: Runner,
     threads: usize,
     progress: bool,
+    /// Attach a recording metrics sink to every trial (uniform complete
+    /// scheduling only — `run` rejects the combination otherwise).
     metrics: bool,
-) -> (Vec<ChaosTrialOutcome>, Vec<Metrics>)
-where
-    P: Corruptor + Send,
-    P::State: std::hash::Hash + Eq + Send,
-    M: Fn() -> P + Sync,
-{
-    let settings = TrialSettings::new(trials, seed, budget, 0);
-    let make = |_: u64, rng: &mut SmallRng| {
-        let protocol = make_protocol();
-        let initial = adversary::random_configuration(&protocol, rng);
-        let plan = FaultPlan::new(rng.gen()).every_parallel_time(period, action);
-        (protocol, initial, plan)
-    };
-    if metrics {
-        let mut meter = soak_meter(trials, budget, progress);
-        let out = Runner::new(settings).run_chaos_trials_counts_metrics(make, |o, m| {
-            meter.tick((o.trial + 1).saturating_mul(budget), &soak_metrics_detail(o, m));
-        });
-        meter.finish(trials.saturating_mul(budget), "done");
-        return out.into_iter().unzip();
+    robust: &'a RobustnessFlags,
+    /// Parallel time between faults; `None` for a fault-free dynamics soak.
+    fault_period: Option<f64>,
+    action: FaultAction,
+    /// The churn plan (its seed a placeholder) and Byzantine fraction of a
+    /// dynamic-population soak.
+    churn: Option<(&'a ChurnPlan, f64)>,
+}
+
+/// One trial's inputs, drawn from its config RNG.
+struct SoakTrial<P: Protocol> {
+    seeds: TrialSeeds,
+    protocol: P,
+    initial: Vec<P::State>,
+    plan: FaultPlan,
+    churn: ChurnPlan,
+    byzantine: ByzantineSet,
+}
+
+/// A backend a soak runs on. The soak's trial bodies are generic over it,
+/// so each is written once; implementors only build the execution.
+trait SoakBackend<P: Corruptor>: Sync {
+    /// Runs one chaos trial with `sink` attached.
+    fn chaos<M: MetricsSink>(&self, soak: &Soak, t: SoakTrial<P>, sink: M) -> ChaosTrialOutcome;
+
+    /// Runs one dynamic-population trial.
+    fn dynamics(&self, soak: &Soak, t: SoakTrial<P>) -> DynamicsTrialOutcome;
+}
+
+/// The agent array. Default robustness flags keep the uniform complete
+/// scheduler, so uniform/perfect soaks stay bit-identical with earlier
+/// releases; Byzantine agents are pinned.
+struct Agents;
+
+impl<P: Corruptor> SoakBackend<P> for Agents {
+    fn chaos<M: MetricsSink>(&self, soak: &Soak, t: SoakTrial<P>, sink: M) -> ChaosTrialOutcome {
+        let (trial, budget) = (t.seeds.trial, soak.budget());
+        if soak.robust.is_default() {
+            let sim = Simulation::new(t.protocol, t.initial, t.seeds.execution).with_metrics(sink);
+            return ChaosTrialOutcome::measure(trial, &mut sim.with_fault_plan(&t.plan), budget);
+        }
+        let policy = AnyScheduler::from_spec(&soak.robust.scheduler, t.initial.len())
+            .expect("scheduler spec validated before dispatch");
+        let sim = Simulation::with_policy(t.protocol, t.initial, policy, t.seeds.execution)
+            .with_reliability(Reliability::with_omission(soak.robust.omission))
+            .with_metrics(sink);
+        ChaosTrialOutcome::measure(trial, &mut sim.with_fault_plan(&t.plan), budget)
     }
-    let outcomes = if progress {
-        let mut meter = soak_meter(trials, budget, true);
-        let out = Runner::new(settings).run_chaos_trials_counts_observed(make, |o| {
-            meter.tick((o.trial + 1).saturating_mul(budget), &soak_detail(o));
+
+    fn dynamics(&self, soak: &Soak, t: SoakTrial<P>) -> DynamicsTrialOutcome {
+        let sim = Simulation::new(t.protocol, t.initial, t.seeds.execution);
+        let mut sim = sim.with_fault_plan(&t.plan);
+        DynamicsTrialOutcome::measure(
+            t.seeds.trial,
+            &mut sim,
+            &t.churn,
+            &t.byzantine,
+            soak.budget(),
+        )
+    }
+}
+
+/// The count-based backend: faults are injected by materializing the
+/// multiset, corrupting, and recompressing; Byzantine agents follow the
+/// lumped model, since counts have no identities to pin. `run` restricts
+/// it to the uniform complete scheduler.
+struct Counts;
+
+impl<P> SoakBackend<P> for Counts
+where
+    P: Corruptor,
+    P::State: Eq + Hash,
+{
+    fn chaos<M: MetricsSink>(&self, soak: &Soak, t: SoakTrial<P>, sink: M) -> ChaosTrialOutcome {
+        let sim = BatchSimulation::new(t.protocol, t.initial, t.seeds.execution).with_metrics(sink);
+        ChaosTrialOutcome::measure(t.seeds.trial, &mut sim.with_fault_plan(&t.plan), soak.budget())
+    }
+
+    fn dynamics(&self, soak: &Soak, t: SoakTrial<P>) -> DynamicsTrialOutcome {
+        let sim = BatchSimulation::new(t.protocol, t.initial, t.seeds.execution);
+        let mut sim = sim.with_fault_plan(&t.plan);
+        DynamicsTrialOutcome::measure(
+            t.seeds.trial,
+            &mut sim,
+            &t.churn,
+            &t.byzantine,
+            soak.budget(),
+        )
+    }
+}
+
+impl Soak<'_> {
+    /// The per-trial interaction budget.
+    fn budget(&self) -> u64 {
+        self.runner.settings().max_interactions
+    }
+
+    /// Draws one trial's start, fault plan, churn plan and Byzantine set
+    /// from its config RNG.
+    fn draw<P: Corruptor>(&self, protocol: P, seeds: TrialSeeds) -> SoakTrial<P> {
+        let mut rng = seeds.config_rng();
+        let initial = adversary::random_configuration(&protocol, &mut rng);
+        let plan = match self.fault_period {
+            Some(period) => FaultPlan::new(rng.gen()).every_parallel_time(period, self.action),
+            None => FaultPlan::none(),
+        };
+        let (churn, byzantine) = match self.churn {
+            Some((churn, fraction)) => (
+                ChurnPlan { seed: rng.gen(), ..churn.clone() },
+                ByzantineSet { fraction, seed: rng.gen() },
+            ),
+            None => (ChurnPlan::none(), ByzantineSet::none()),
+        };
+        SoakTrial { seeds, protocol, initial, plan, churn, byzantine }
+    }
+
+    /// Runs every trial of `make_protocol` on `backend`.
+    fn trials<P, B>(&self, make_protocol: impl Fn() -> P + Sync, backend: B) -> SoakOutcomes
+    where
+        P: Corruptor,
+        B: SoakBackend<P>,
+    {
+        let trial = |s| self.draw(make_protocol(), s);
+        if self.churn.is_some() {
+            let body = |s| backend.dynamics(self, trial(s));
+            return SoakOutcomes::Dynamics(self.run(body, dynamics_detail));
+        }
+        if self.metrics {
+            let body = |s| {
+                let mut m = Metrics::new();
+                (backend.chaos(self, trial(s), &mut m), m)
+            };
+            let (outcomes, metrics) =
+                self.run(body, |(o, m)| soak_metrics_detail(o, m)).into_iter().unzip();
+            return SoakOutcomes::Chaos(outcomes, metrics);
+        }
+        let body = |s| backend.chaos(self, trial(s), NoopMetrics);
+        SoakOutcomes::Chaos(self.run(body, soak_detail), Vec::new())
+    }
+
+    /// Runs every trial through `body`, printing `detail` of each finished
+    /// trial in the `--progress` heartbeat. Heartbeat and instrumented
+    /// soaks run trials one at a time, so completions arrive live and each
+    /// trial's section timers see the machine to themselves.
+    fn run<T: Send>(
+        &self,
+        body: impl Fn(TrialSeeds) -> T + Sync,
+        detail: impl Fn(&T) -> String,
+    ) -> Vec<T> {
+        let (trials, budget) = (self.runner.settings().trials, self.budget());
+        let mut meter = if self.progress {
+            Progress::new("soak", trials.saturating_mul(budget), "interactions")
+        } else {
+            Progress::disabled()
+        };
+        let threads = if self.progress || self.metrics { 1 } else { self.threads };
+        let mut done = 0u64;
+        let out = self.runner.run(threads, body, |o| {
+            done += 1;
+            if meter.is_enabled() {
+                meter.tick(done.saturating_mul(budget), &detail(o));
+            }
         });
         meter.finish(trials.saturating_mul(budget), "done");
         out
-    } else {
-        Runner::new(settings).run_chaos_trials_counts_parallel(threads, make)
-    };
-    (outcomes, Vec::new())
+    }
 }
 
 /// The heartbeat detail for one finished dynamics trial.
@@ -640,97 +583,6 @@ fn dynamics_detail(o: &DynamicsTrialOutcome) -> String {
         o.report.byz_strikes,
         o.report.chaos.availability()
     )
-}
-
-/// Runs dynamic-population soak trials on the agent-array backend:
-/// adversarial random start, optional repeating fault plan, plus the churn
-/// plan and Byzantine fraction. Per-trial churn/Byzantine seeds are drawn
-/// from the trial's config RNG, so outcomes are deterministic in the base
-/// seed and independent of thread scheduling.
-#[allow(clippy::too_many_arguments)]
-fn soak_dynamics_trials<P, M>(
-    make_protocol: M,
-    fault_period: Option<f64>,
-    action: FaultAction,
-    churn: &ChurnPlan,
-    byzantine: f64,
-    trials: u64,
-    seed: u64,
-    budget: u64,
-    threads: usize,
-    progress: bool,
-) -> Vec<DynamicsTrialOutcome>
-where
-    P: Corruptor + Send,
-    P::State: Send,
-    M: Fn() -> P + Sync,
-{
-    let settings = TrialSettings::new(trials, seed, budget, 0);
-    let make = |_: u64, rng: &mut SmallRng| {
-        let protocol = make_protocol();
-        let initial = adversary::random_configuration(&protocol, rng);
-        let plan = match fault_period {
-            Some(p) => FaultPlan::new(rng.gen()).every_parallel_time(p, action),
-            None => FaultPlan::none(),
-        };
-        let churn = ChurnPlan { seed: rng.gen(), ..churn.clone() };
-        let byz = ByzantineSet { fraction: byzantine, seed: rng.gen() };
-        (protocol, initial, plan, churn, byz)
-    };
-    if progress {
-        let mut meter = soak_meter(trials, budget, true);
-        let out = Runner::new(settings).run_dynamics_trials_observed(make, |o| {
-            meter.tick((o.trial + 1).saturating_mul(budget), &dynamics_detail(o));
-        });
-        meter.finish(trials.saturating_mul(budget), "done");
-        out
-    } else {
-        Runner::new(settings).run_dynamics_trials_parallel(threads, make)
-    }
-}
-
-/// [`soak_dynamics_trials`] on the count-based backend (lumped Byzantine
-/// model — counts have no agent identities to pin).
-#[allow(clippy::too_many_arguments)]
-fn soak_dynamics_trials_counts<P, M>(
-    make_protocol: M,
-    fault_period: Option<f64>,
-    action: FaultAction,
-    churn: &ChurnPlan,
-    byzantine: f64,
-    trials: u64,
-    seed: u64,
-    budget: u64,
-    threads: usize,
-    progress: bool,
-) -> Vec<DynamicsTrialOutcome>
-where
-    P: Corruptor + Send,
-    P::State: std::hash::Hash + Eq + Send,
-    M: Fn() -> P + Sync,
-{
-    let settings = TrialSettings::new(trials, seed, budget, 0);
-    let make = |_: u64, rng: &mut SmallRng| {
-        let protocol = make_protocol();
-        let initial = adversary::random_configuration(&protocol, rng);
-        let plan = match fault_period {
-            Some(p) => FaultPlan::new(rng.gen()).every_parallel_time(p, action),
-            None => FaultPlan::none(),
-        };
-        let churn = ChurnPlan { seed: rng.gen(), ..churn.clone() };
-        let byz = ByzantineSet { fraction: byzantine, seed: rng.gen() };
-        (protocol, initial, plan, churn, byz)
-    };
-    if progress {
-        let mut meter = soak_meter(trials, budget, true);
-        let out = Runner::new(settings).run_dynamics_trials_counts_observed(make, |o| {
-            meter.tick((o.trial + 1).saturating_mul(budget), &dynamics_detail(o));
-        });
-        meter.finish(trials.saturating_mul(budget), "done");
-        out
-    } else {
-        Runner::new(settings).run_dynamics_trials_counts_parallel(threads, make)
-    }
 }
 
 fn render_dynamics_text(
@@ -1071,6 +923,23 @@ mod tests {
             run(&args(&["--n", "8", "--action", "meteor"])),
             Err(CliError::BadValue { .. })
         ));
+    }
+
+    #[test]
+    fn zero_trials_are_rejected_on_chaos_and_churn_soaks() {
+        // An empty batch would report availability as the mean of nothing.
+        let paths: [&[&str]; 4] = [
+            &[],
+            &["--backend", "counts"],
+            &["--churn", "0.1", "--fault-rate", "0"],
+            &["--churn", "0.1", "--backend", "counts", "--format", "json"],
+        ];
+        for extra in paths {
+            let mut all = vec!["--n", "8", "--trials", "0"];
+            all.extend_from_slice(extra);
+            let err = run(&args(&all)).unwrap_err();
+            assert_eq!(err.to_string(), "invalid --trials: must be positive", "{extra:?}");
+        }
     }
 
     #[test]

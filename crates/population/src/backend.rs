@@ -1,8 +1,8 @@
 //! One interface over the two simulation backends.
 //!
 //! [`SimulationBackend`] abstracts what an execution driver needs —
-//! advancing by interactions, goal-directed runs, stable-ranking runs,
-//! counting agents — so experiment code (the CLI, the scaling-frontier
+//! advancing by interactions, goal-directed runs, stable-ranking and chaos
+//! runs, counting agents — so experiment code (the CLI, the scaling-frontier
 //! bench, equivalence tests) can be written once and instantiated with
 //! either the agent-array [`Simulation`] or the count-based
 //! [`BatchSimulation`].
@@ -17,7 +17,7 @@
 use std::hash::Hash;
 
 use crate::counts::{BatchSimulation, CountConfig};
-use crate::fault::FaultSchedule;
+use crate::fault::{ChaosReport, Corruptor, FaultSchedule};
 use crate::metrics::MetricsSink;
 use crate::observer::Observer;
 use crate::protocol::{Protocol, RankingProtocol};
@@ -69,6 +69,12 @@ pub trait SimulationBackend<P: Protocol> {
     where
         P: RankingProtocol;
 
+    /// Runs under the attached fault schedule, measuring recovery and
+    /// availability (see [`Simulation::run_chaos`]).
+    fn run_chaos(&mut self, max_interactions: u64) -> ChaosReport
+    where
+        P: Corruptor;
+
     /// The current configuration compressed to state counts.
     fn state_counts(&self) -> CountConfig<P::State>
     where
@@ -113,6 +119,13 @@ where
         P: RankingProtocol,
     {
         Simulation::run_until_stably_ranked(self, max_interactions, confirm_window)
+    }
+
+    fn run_chaos(&mut self, max_interactions: u64) -> ChaosReport
+    where
+        P: Corruptor,
+    {
+        Simulation::run_chaos(self, max_interactions)
     }
 
     fn state_counts(&self) -> CountConfig<P::State>
@@ -163,6 +176,13 @@ where
         BatchSimulation::run_until_stably_ranked(self, max_interactions, confirm_window)
     }
 
+    fn run_chaos(&mut self, max_interactions: u64) -> ChaosReport
+    where
+        P: Corruptor,
+    {
+        BatchSimulation::run_chaos(self, max_interactions)
+    }
+
     fn state_counts(&self) -> CountConfig<P::State>
     where
         P::State: Eq + Hash,
@@ -174,24 +194,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-
-    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-    enum Fight {
-        Leader,
-        Follower,
-    }
-
-    struct FightProtocol;
-    impl Protocol for FightProtocol {
-        type State = Fight;
-        const DETERMINISTIC_INTERACT: bool = true;
-        fn interact(&self, a: &mut Fight, b: &mut Fight, _rng: &mut SmallRng) {
-            if *a == Fight::Leader && *b == Fight::Leader {
-                *b = Fight::Follower;
-            }
-        }
-    }
+    use crate::test_support::{Fight, FightProtocol};
 
     /// The generic driver the trait exists for: run any backend to a unique
     /// leader.

@@ -60,13 +60,12 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::fault::{
-    ChaosReport, ChaosTrialOutcome, Corruptor, FaultInjector, FaultPlan, FaultSchedule, NoFaults,
-    RecoveryTracker,
+    ChaosReport, Corruptor, FaultInjector, FaultPlan, FaultSchedule, NoFaults, RecoveryTracker,
 };
-use crate::metrics::{Metrics, MetricsSink, NoopMetrics, Section, AGENT_FLUSH_EVERY};
+use crate::metrics::{MetricsSink, NoopMetrics, Section, AGENT_FLUSH_EVERY};
 use crate::observer::{NoopObserver, Observer};
 use crate::protocol::{Protocol, RankingProtocol};
-use crate::runner::{derive_seed, rng_from_seed, Runner, TrialOutcome};
+use crate::runner::rng_from_seed;
 use crate::scheduler::{uniform_u64, AnyScheduler, Reliability, SchedulerPolicy};
 use crate::simulation::{interact_reliably, RunOutcome};
 use crate::timeline::{snapshot_counts, TimelineObserver};
@@ -1394,305 +1393,13 @@ where
     }
 }
 
-/// Runs one seeded ranked trial on the count backend. Seed derivation
-/// matches [`Runner::run_trials`] exactly: configuration randomness from
-/// `derive_seed(base, 2·trial)`, the execution from
-/// `derive_seed(base, 2·trial + 1)` — so trial outcomes are comparable
-/// across backends in distribution (the executions themselves consume
-/// randomness differently).
-fn counts_trial<P, F>(runner: &Runner, trial: u64, make: &mut F) -> TrialOutcome
-where
-    P: RankingProtocol,
-    P::State: Eq + Hash,
-    F: FnMut(u64, &mut SmallRng) -> (P, Vec<P::State>),
-{
-    let settings = *runner.settings();
-    let mut config_rng = rng_from_seed(derive_seed(settings.base_seed, 2 * trial));
-    let (protocol, initial) = make(trial, &mut config_rng);
-    let n = initial.len();
-    let mut sim =
-        BatchSimulation::new(protocol, initial, derive_seed(settings.base_seed, 2 * trial + 1));
-    let started = Instant::now();
-    let outcome = sim.run_until_stably_ranked(settings.max_interactions, settings.confirm_window);
-    TrialOutcome { trial, n, outcome, wall: started.elapsed() }
-}
-
-/// [`counts_trial`] with a recording [`Metrics`] sink attached. The sink
-/// never touches the simulation RNG, so the trial outcome is identical to
-/// the uninstrumented [`counts_trial`] for the same runner and trial index.
-fn counts_trial_metrics<P, F>(runner: &Runner, trial: u64, make: &mut F) -> (TrialOutcome, Metrics)
-where
-    P: RankingProtocol,
-    P::State: Eq + Hash,
-    F: FnMut(u64, &mut SmallRng) -> (P, Vec<P::State>),
-{
-    let settings = *runner.settings();
-    let mut config_rng = rng_from_seed(derive_seed(settings.base_seed, 2 * trial));
-    let (protocol, initial) = make(trial, &mut config_rng);
-    let n = initial.len();
-    let mut metrics = Metrics::new();
-    let mut sim =
-        BatchSimulation::new(protocol, initial, derive_seed(settings.base_seed, 2 * trial + 1))
-            .with_metrics(&mut metrics);
-    let started = Instant::now();
-    let outcome = sim.run_until_stably_ranked(settings.max_interactions, settings.confirm_window);
-    let wall = started.elapsed();
-    drop(sim);
-    (TrialOutcome { trial, n, outcome, wall }, metrics)
-}
-
-/// Runs one seeded chaos trial on the count backend, mirroring the
-/// agent-array chaos trial's seed derivation.
-fn counts_chaos_trial<P, F>(runner: &Runner, trial: u64, make: &mut F) -> ChaosTrialOutcome
-where
-    P: Corruptor,
-    P::State: Eq + Hash,
-    F: FnMut(u64, &mut SmallRng) -> (P, Vec<P::State>, FaultPlan),
-{
-    let settings = *runner.settings();
-    let mut config_rng = rng_from_seed(derive_seed(settings.base_seed, 2 * trial));
-    let (protocol, initial, plan) = make(trial, &mut config_rng);
-    let n = initial.len();
-    let mut sim =
-        BatchSimulation::new(protocol, initial, derive_seed(settings.base_seed, 2 * trial + 1))
-            .with_fault_plan(&plan);
-    let started = Instant::now();
-    let report = sim.run_chaos(settings.max_interactions);
-    ChaosTrialOutcome { trial, n, report, wall: started.elapsed() }
-}
-
-/// [`counts_chaos_trial`] with a recording [`Metrics`] sink attached.
-fn counts_chaos_trial_metrics<P, F>(
-    runner: &Runner,
-    trial: u64,
-    make: &mut F,
-) -> (ChaosTrialOutcome, Metrics)
-where
-    P: Corruptor,
-    P::State: Eq + Hash,
-    F: FnMut(u64, &mut SmallRng) -> (P, Vec<P::State>, FaultPlan),
-{
-    let settings = *runner.settings();
-    let mut config_rng = rng_from_seed(derive_seed(settings.base_seed, 2 * trial));
-    let (protocol, initial, plan) = make(trial, &mut config_rng);
-    let n = initial.len();
-    let mut metrics = Metrics::new();
-    let mut sim =
-        BatchSimulation::new(protocol, initial, derive_seed(settings.base_seed, 2 * trial + 1))
-            .with_metrics(&mut metrics)
-            .with_fault_plan(&plan);
-    let started = Instant::now();
-    let report = sim.run_chaos(settings.max_interactions);
-    let wall = started.elapsed();
-    drop(sim);
-    (ChaosTrialOutcome { trial, n, report, wall }, metrics)
-}
-
-impl Runner {
-    /// [`Runner::run_trials`] on the count-based backend.
-    pub fn run_trials_counts<P, F>(&self, mut make: F) -> Vec<TrialOutcome>
-    where
-        P: RankingProtocol,
-        P::State: Eq + Hash,
-        F: FnMut(u64, &mut SmallRng) -> (P, Vec<P::State>),
-    {
-        (0..self.settings().trials).map(|trial| counts_trial(self, trial, &mut make)).collect()
-    }
-
-    /// [`Runner::run_trials_counts`] with a recording [`Metrics`] sink per
-    /// trial. Sequential; the trial outcomes are identical to the
-    /// uninstrumented runner's (metrics never touch the simulation RNG).
-    pub fn run_trials_counts_metrics<P, F>(&self, mut make: F) -> Vec<(TrialOutcome, Metrics)>
-    where
-        P: RankingProtocol,
-        P::State: Eq + Hash,
-        F: FnMut(u64, &mut SmallRng) -> (P, Vec<P::State>),
-    {
-        (0..self.settings().trials)
-            .map(|trial| counts_trial_metrics(self, trial, &mut make))
-            .collect()
-    }
-
-    /// [`Runner::run_trials_parallel`] on the count-based backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn run_trials_counts_parallel<P, F>(&self, threads: usize, make: F) -> Vec<TrialOutcome>
-    where
-        P: RankingProtocol + Send,
-        P::State: Eq + Hash + Send,
-        F: Fn(u64, &mut SmallRng) -> (P, Vec<P::State>) + Sync,
-    {
-        assert!(threads > 0, "at least one worker thread is required");
-        let make = &make;
-        let trials = self.settings().trials;
-        let mut results: Vec<TrialOutcome> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for worker in 0..threads {
-                let runner = *self;
-                let handle = scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut trial = worker as u64;
-                    while trial < trials {
-                        let mut make_fn = |t: u64, rng: &mut SmallRng| make(t, rng);
-                        out.push(counts_trial(&runner, trial, &mut make_fn));
-                        trial += threads as u64;
-                    }
-                    out
-                });
-                handles.push(handle);
-            }
-            handles.into_iter().flat_map(|h| h.join().expect("worker thread panicked")).collect()
-        });
-        results.sort_unstable_by_key(|t| t.trial);
-        results
-    }
-
-    /// [`Runner::run_chaos_trials_parallel`] on the count-based backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn run_chaos_trials_counts_parallel<P, F>(
-        &self,
-        threads: usize,
-        make: F,
-    ) -> Vec<ChaosTrialOutcome>
-    where
-        P: Corruptor + Send,
-        P::State: Eq + Hash + Send,
-        F: Fn(u64, &mut SmallRng) -> (P, Vec<P::State>, FaultPlan) + Sync,
-    {
-        assert!(threads > 0, "at least one worker thread is required");
-        let make = &make;
-        let trials = self.settings().trials;
-        let mut results: Vec<ChaosTrialOutcome> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for worker in 0..threads {
-                let runner = *self;
-                let handle = scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut trial = worker as u64;
-                    while trial < trials {
-                        let mut make_fn = |t: u64, rng: &mut SmallRng| make(t, rng);
-                        out.push(counts_chaos_trial(&runner, trial, &mut make_fn));
-                        trial += threads as u64;
-                    }
-                    out
-                });
-                handles.push(handle);
-            }
-            handles.into_iter().flat_map(|h| h.join().expect("worker thread panicked")).collect()
-        });
-        results.sort_unstable_by_key(|t| t.trial);
-        results
-    }
-
-    /// Sequential variant of [`Runner::run_chaos_trials_counts_parallel`]
-    /// that invokes `on_trial` after each trial completes, in trial order.
-    ///
-    /// Seed derivation and trial outcomes are identical to the parallel
-    /// runner — only the execution order (strictly sequential) differs.
-    /// Use this when a live progress heartbeat needs to observe trials as
-    /// they finish.
-    pub fn run_chaos_trials_counts_observed<P, F, G>(
-        &self,
-        make: F,
-        mut on_trial: G,
-    ) -> Vec<ChaosTrialOutcome>
-    where
-        P: Corruptor,
-        P::State: Eq + Hash,
-        F: Fn(u64, &mut SmallRng) -> (P, Vec<P::State>, FaultPlan),
-        G: FnMut(&ChaosTrialOutcome),
-    {
-        let mut make_fn = |t: u64, rng: &mut SmallRng| make(t, rng);
-        (0..self.settings().trials)
-            .map(|trial| {
-                let outcome = counts_chaos_trial(self, trial, &mut make_fn);
-                on_trial(&outcome);
-                outcome
-            })
-            .collect()
-    }
-
-    /// [`Runner::run_chaos_trials_counts_observed`] with a recording
-    /// [`Metrics`] sink per trial; `on_trial` additionally receives the
-    /// trial's metrics. Chaos reports are identical to the uninstrumented
-    /// runner's (metrics never touch the simulation RNG).
-    pub fn run_chaos_trials_counts_metrics<P, F, G>(
-        &self,
-        make: F,
-        mut on_trial: G,
-    ) -> Vec<(ChaosTrialOutcome, Metrics)>
-    where
-        P: Corruptor,
-        P::State: Eq + Hash,
-        F: Fn(u64, &mut SmallRng) -> (P, Vec<P::State>, FaultPlan),
-        G: FnMut(&ChaosTrialOutcome, &Metrics),
-    {
-        let mut make_fn = |t: u64, rng: &mut SmallRng| make(t, rng);
-        (0..self.settings().trials)
-            .map(|trial| {
-                let outcome = counts_chaos_trial_metrics(self, trial, &mut make_fn);
-                on_trial(&outcome.0, &outcome.1);
-                outcome
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::{FaultAction, FaultSize};
-    use crate::runner::TrialSettings;
-
-    /// Protocol 1 of the paper in miniature (deterministic transitions).
-    #[derive(Clone)]
-    struct ModRank {
-        n: usize,
-    }
-    impl Protocol for ModRank {
-        type State = usize;
-        const DETERMINISTIC_INTERACT: bool = true;
-        fn interact(&self, a: &mut usize, b: &mut usize, _rng: &mut SmallRng) {
-            if a == b {
-                *b = (*b + 1) % self.n;
-            }
-        }
-    }
-    impl RankingProtocol for ModRank {
-        fn population_size(&self) -> usize {
-            self.n
-        }
-        fn rank_of(&self, s: &usize) -> Option<usize> {
-            Some(s + 1)
-        }
-    }
-    impl Corruptor for ModRank {
-        fn random_state(&self, rng: &mut SmallRng) -> usize {
-            rng.gen_range(0..self.n)
-        }
-    }
-
-    /// The one-transition leader-fight protocol: ℓ,ℓ → ℓ,f.
-    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-    enum Fight {
-        Leader,
-        Follower,
-    }
-    struct FightProtocol;
-    impl Protocol for FightProtocol {
-        type State = Fight;
-        const DETERMINISTIC_INTERACT: bool = true;
-        fn interact(&self, a: &mut Fight, b: &mut Fight, _rng: &mut SmallRng) {
-            if *a == Fight::Leader && *b == Fight::Leader {
-                *b = Fight::Follower;
-            }
-        }
-    }
+    use crate::test_support::{
+        assert_worker_count_invariant, Backend, Fight, FightProtocol, ModRank, TrialKind,
+    };
 
     fn leaders(config: &CountConfig<Fight>) -> u64 {
         config.count_of(&Fight::Leader)
@@ -1882,43 +1589,12 @@ mod tests {
 
     #[test]
     fn counts_trials_are_reproducible_and_parallel_matches_sequential() {
-        let runner = Runner::new(TrialSettings::new(6, 13, 1_000_000, 5));
-        let make = |_t: u64, _rng: &mut SmallRng| (ModRank { n: 8 }, vec![0usize; 8]);
-        // Compare deterministic fields only: wall times vary run to run.
-        let key = |ts: &[TrialOutcome]| -> Vec<(u64, usize, RunOutcome)> {
-            ts.iter().map(|t| (t.trial, t.n, t.outcome)).collect()
-        };
-        let sequential = runner.run_trials_counts(make);
-        assert_eq!(sequential.len(), 6);
-        assert!(sequential.iter().all(|t| t.outcome.is_converged()));
-        assert_eq!(key(&runner.run_trials_counts(make)), key(&sequential));
-        for threads in [1, 2, 4] {
-            assert_eq!(
-                key(&runner.run_trials_counts_parallel(threads, make)),
-                key(&sequential),
-                "{threads} threads"
-            );
-        }
+        assert_worker_count_invariant(TrialKind::Ranked, Backend::Counts);
     }
 
     #[test]
     fn counts_chaos_trials_parallel_matches_sequential_reports() {
-        let runner = Runner::new(TrialSettings::new(4, 13, 1_000_000, 0));
-        let make = |trial: u64, _rng: &mut SmallRng| {
-            let plan = FaultPlan::new(trial)
-                .after_convergence(4, FaultAction::CorruptRandom(FaultSize::Exact(1)));
-            (ModRank { n: 8 }, vec![0usize; 8], plan)
-        };
-        let sequential = runner.run_chaos_trials_counts_parallel(1, make);
-        assert_eq!(sequential.len(), 4);
-        for threads in [2, 4] {
-            let parallel = runner.run_chaos_trials_counts_parallel(threads, make);
-            assert_eq!(
-                parallel.iter().map(|t| &t.report).collect::<Vec<_>>(),
-                sequential.iter().map(|t| &t.report).collect::<Vec<_>>(),
-                "{threads} threads"
-            );
-        }
+        assert_worker_count_invariant(TrialKind::Chaos, Backend::Counts);
     }
 
     #[test]

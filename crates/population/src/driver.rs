@@ -105,6 +105,16 @@ pub trait DynamicBackend<P: Corruptor>: SimulationBackend<P> {
     /// identities and exactly one agent outputs leader (`None` on the
     /// anonymous counts backend, or when the leader is not unique).
     fn leader_index(&self) -> Option<usize>;
+
+    /// Runs under the attached fault schedule plus membership churn and a
+    /// Byzantine adversary (see [`Simulation::run_dynamics`] and
+    /// [`BatchSimulation::run_dynamics`]).
+    fn run_dynamics(
+        &mut self,
+        churn: &ChurnPlan,
+        byzantine: &ByzantineSet,
+        max_interactions: u64,
+    ) -> DynamicsReport;
 }
 
 impl<P, O, F, M> DynamicBackend<P> for Simulation<P, O, F, Scheduler, M>
@@ -204,6 +214,15 @@ where
         }
         found
     }
+
+    fn run_dynamics(
+        &mut self,
+        churn: &ChurnPlan,
+        byzantine: &ByzantineSet,
+        max_interactions: u64,
+    ) -> DynamicsReport {
+        Simulation::run_dynamics(self, churn, byzantine, max_interactions)
+    }
 }
 
 impl<P, O, F, M> DynamicBackend<P> for BatchSimulation<P, O, F, M>
@@ -276,6 +295,15 @@ where
 
     fn leader_index(&self) -> Option<usize> {
         None
+    }
+
+    fn run_dynamics(
+        &mut self,
+        churn: &ChurnPlan,
+        byzantine: &ByzantineSet,
+        max_interactions: u64,
+    ) -> DynamicsReport {
+        BatchSimulation::run_dynamics(self, churn, byzantine, max_interactions)
     }
 }
 
@@ -657,40 +685,9 @@ impl SteppedDriver {
 mod tests {
     use super::*;
     use crate::dynamics::{ByzantineSet, ChurnPlan};
-    use crate::protocol::{Protocol, RankingProtocol};
+    use crate::protocol::RankingProtocol;
     use crate::simulation::Simulation;
-
-    /// Minimal rankable protocol: states are ranks mod n; agents fight for
-    /// distinct ranks by incrementing on collision.
-    #[derive(Debug, Clone)]
-    struct ModRank {
-        n: usize,
-    }
-
-    impl Protocol for ModRank {
-        type State = usize;
-        const DETERMINISTIC_INTERACT: bool = true;
-        fn interact(&self, a: &mut usize, b: &mut usize, _rng: &mut SmallRng) {
-            if *a == *b {
-                *b = (*b + 1) % self.n;
-            }
-        }
-    }
-
-    impl RankingProtocol for ModRank {
-        fn population_size(&self) -> usize {
-            self.n
-        }
-        fn rank_of(&self, state: &usize) -> Option<usize> {
-            Some(*state + 1)
-        }
-    }
-
-    impl Corruptor for ModRank {
-        fn random_state(&self, rng: &mut SmallRng) -> usize {
-            rng.gen_range(0..self.n)
-        }
-    }
+    use crate::test_support::ModRank;
 
     fn fresh(n: usize, seed: u64) -> Simulation<ModRank> {
         Simulation::new(ModRank { n }, vec![0; n], seed)

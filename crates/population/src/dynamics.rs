@@ -47,15 +47,14 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::counts::BatchSimulation;
+use crate::driver::DynamicBackend;
 use crate::driver::SteppedDriver;
-use crate::fault::{
-    distinct_agents, ChaosReport, Corruptor, FaultPlan, FaultSchedule, RecoveryTracker,
-};
+use crate::fault::{distinct_agents, ChaosReport, Corruptor, FaultSchedule, RecoveryTracker};
 use crate::graph::InteractionGraph;
 use crate::metrics::MetricsSink;
 use crate::observer::Observer;
 use crate::record::{ChurnRecord, FaultRecord};
-use crate::runner::{derive_seed, rng_from_seed, Runner};
+use crate::runner::rng_from_seed;
 use crate::scheduler::{Scheduler, SchedulerPolicy};
 use crate::simulation::Simulation;
 use crate::tracker::RankTracker;
@@ -689,6 +688,27 @@ pub struct DynamicsTrialOutcome {
 }
 
 impl DynamicsTrialOutcome {
+    /// Runs `sim` under its attached fault plan plus `churn` and
+    /// `byzantine` for at most `max_interactions` (see
+    /// [`Simulation::run_dynamics`]), timing the run as trial `trial`. The
+    /// same trial body serves both backends.
+    pub fn measure<P, B>(
+        trial: u64,
+        sim: &mut B,
+        churn: &ChurnPlan,
+        byzantine: &ByzantineSet,
+        max_interactions: u64,
+    ) -> Self
+    where
+        P: Corruptor,
+        B: DynamicBackend<P>,
+    {
+        let n = sim.population_size();
+        let started = Instant::now();
+        let report = sim.run_dynamics(churn, byzantine, max_interactions);
+        DynamicsTrialOutcome { trial, n, report, wall: started.elapsed() }
+    }
+
     /// The trial-level churn record (`kind = "churn"`, schema v6).
     #[allow(clippy::too_many_arguments)]
     pub fn churn_record(
@@ -759,239 +779,11 @@ impl DynamicsTrialOutcome {
     }
 }
 
-/// Runs one seeded dynamics trial on the agent-array backend. Seed
-/// derivation matches [`Runner::run_trials`]: configuration randomness from
-/// `derive_seed(base, 2·trial)`, the execution from
-/// `derive_seed(base, 2·trial + 1)` — so a dynamics trial with empty plans
-/// replays the corresponding chaos trial's execution exactly.
-fn dynamics_trial<P, F>(runner: &Runner, trial: u64, make: &mut F) -> DynamicsTrialOutcome
-where
-    P: Corruptor,
-    F: FnMut(u64, &mut SmallRng) -> (P, Vec<P::State>, FaultPlan, ChurnPlan, ByzantineSet),
-{
-    let settings = *runner.settings();
-    let mut config_rng = rng_from_seed(derive_seed(settings.base_seed, 2 * trial));
-    let (protocol, initial, plan, churn, byzantine) = make(trial, &mut config_rng);
-    let n = initial.len();
-    let mut sim =
-        Simulation::new(protocol, initial, derive_seed(settings.base_seed, 2 * trial + 1))
-            .with_fault_plan(&plan);
-    let started = Instant::now();
-    let report = sim.run_dynamics(&churn, &byzantine, settings.max_interactions);
-    DynamicsTrialOutcome { trial, n, report, wall: started.elapsed() }
-}
-
-/// Count-backend twin of [`dynamics_trial`], same seed derivation.
-fn dynamics_trial_counts<P, F>(runner: &Runner, trial: u64, make: &mut F) -> DynamicsTrialOutcome
-where
-    P: Corruptor,
-    P::State: Eq + Hash,
-    F: FnMut(u64, &mut SmallRng) -> (P, Vec<P::State>, FaultPlan, ChurnPlan, ByzantineSet),
-{
-    let settings = *runner.settings();
-    let mut config_rng = rng_from_seed(derive_seed(settings.base_seed, 2 * trial));
-    let (protocol, initial, plan, churn, byzantine) = make(trial, &mut config_rng);
-    let n = initial.len();
-    let mut sim =
-        BatchSimulation::new(protocol, initial, derive_seed(settings.base_seed, 2 * trial + 1))
-            .with_fault_plan(&plan);
-    let started = Instant::now();
-    let report = sim.run_dynamics(&churn, &byzantine, settings.max_interactions);
-    DynamicsTrialOutcome { trial, n, report, wall: started.elapsed() }
-}
-
-impl Runner {
-    /// Runs every dynamics trial sequentially on the agent-array backend.
-    ///
-    /// `make` receives the trial index and a seeded RNG (for adversarial
-    /// initial configurations) and returns the protocol, initial
-    /// configuration, fault plan, churn plan, and Byzantine set for that
-    /// trial. `confirm_window` is unused, as for the chaos runners.
-    pub fn run_dynamics_trials<P, F>(&self, mut make: F) -> Vec<DynamicsTrialOutcome>
-    where
-        P: Corruptor,
-        F: FnMut(u64, &mut SmallRng) -> (P, Vec<P::State>, FaultPlan, ChurnPlan, ByzantineSet),
-    {
-        (0..self.settings().trials).map(|trial| dynamics_trial(self, trial, &mut make)).collect()
-    }
-
-    /// Like [`Runner::run_dynamics_trials`], but invokes `on_trial` after
-    /// each trial completes, in trial order — for live progress heartbeats.
-    pub fn run_dynamics_trials_observed<P, F, G>(
-        &self,
-        mut make: F,
-        mut on_trial: G,
-    ) -> Vec<DynamicsTrialOutcome>
-    where
-        P: Corruptor,
-        F: FnMut(u64, &mut SmallRng) -> (P, Vec<P::State>, FaultPlan, ChurnPlan, ByzantineSet),
-        G: FnMut(&DynamicsTrialOutcome),
-    {
-        (0..self.settings().trials)
-            .map(|trial| {
-                let outcome = dynamics_trial(self, trial, &mut make);
-                on_trial(&outcome);
-                outcome
-            })
-            .collect()
-    }
-
-    /// Like [`Runner::run_dynamics_trials`], but distributing trials over
-    /// `threads` worker threads. Outcomes are identical to the sequential
-    /// version (per-trial seeds do not depend on scheduling).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn run_dynamics_trials_parallel<P, F>(
-        &self,
-        threads: usize,
-        make: F,
-    ) -> Vec<DynamicsTrialOutcome>
-    where
-        P: Corruptor + Send,
-        P::State: Send,
-        F: Fn(u64, &mut SmallRng) -> (P, Vec<P::State>, FaultPlan, ChurnPlan, ByzantineSet) + Sync,
-    {
-        assert!(threads > 0, "at least one worker thread is required");
-        let make = &make;
-        let trials = self.settings().trials;
-        let mut results: Vec<DynamicsTrialOutcome> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for worker in 0..threads {
-                let runner = *self;
-                let handle = scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut trial = worker as u64;
-                    while trial < trials {
-                        let mut make_fn = |t: u64, rng: &mut SmallRng| make(t, rng);
-                        out.push(dynamics_trial(&runner, trial, &mut make_fn));
-                        trial += threads as u64;
-                    }
-                    out
-                });
-                handles.push(handle);
-            }
-            handles.into_iter().flat_map(|h| h.join().expect("worker thread panicked")).collect()
-        });
-        results.sort_unstable_by_key(|t| t.trial);
-        results
-    }
-
-    /// Count-backend twin of [`Runner::run_dynamics_trials`].
-    pub fn run_dynamics_trials_counts<P, F>(&self, mut make: F) -> Vec<DynamicsTrialOutcome>
-    where
-        P: Corruptor,
-        P::State: Eq + Hash,
-        F: FnMut(u64, &mut SmallRng) -> (P, Vec<P::State>, FaultPlan, ChurnPlan, ByzantineSet),
-    {
-        (0..self.settings().trials)
-            .map(|trial| dynamics_trial_counts(self, trial, &mut make))
-            .collect()
-    }
-
-    /// Count-backend twin of [`Runner::run_dynamics_trials_observed`].
-    pub fn run_dynamics_trials_counts_observed<P, F, G>(
-        &self,
-        mut make: F,
-        mut on_trial: G,
-    ) -> Vec<DynamicsTrialOutcome>
-    where
-        P: Corruptor,
-        P::State: Eq + Hash,
-        F: FnMut(u64, &mut SmallRng) -> (P, Vec<P::State>, FaultPlan, ChurnPlan, ByzantineSet),
-        G: FnMut(&DynamicsTrialOutcome),
-    {
-        (0..self.settings().trials)
-            .map(|trial| {
-                let outcome = dynamics_trial_counts(self, trial, &mut make);
-                on_trial(&outcome);
-                outcome
-            })
-            .collect()
-    }
-
-    /// Count-backend twin of [`Runner::run_dynamics_trials_parallel`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn run_dynamics_trials_counts_parallel<P, F>(
-        &self,
-        threads: usize,
-        make: F,
-    ) -> Vec<DynamicsTrialOutcome>
-    where
-        P: Corruptor + Send,
-        P::State: Eq + Hash + Send,
-        F: Fn(u64, &mut SmallRng) -> (P, Vec<P::State>, FaultPlan, ChurnPlan, ByzantineSet) + Sync,
-    {
-        assert!(threads > 0, "at least one worker thread is required");
-        let make = &make;
-        let trials = self.settings().trials;
-        let mut results: Vec<DynamicsTrialOutcome> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for worker in 0..threads {
-                let runner = *self;
-                let handle = scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut trial = worker as u64;
-                    while trial < trials {
-                        let mut make_fn = |t: u64, rng: &mut SmallRng| make(t, rng);
-                        out.push(dynamics_trial_counts(&runner, trial, &mut make_fn));
-                        trial += threads as u64;
-                    }
-                    out
-                });
-                handles.push(handle);
-            }
-            handles.into_iter().flat_map(|h| h.join().expect("worker thread panicked")).collect()
-        });
-        results.sort_unstable_by_key(|t| t.trial);
-        results
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultAction, FaultSize};
-    use crate::protocol::{Protocol, RankingProtocol};
-    use crate::runner::TrialSettings;
-
-    /// Protocol 1 of the paper (Silent-n-state-SSR), minimal: states are
-    /// ranks `0..n`, colliding ranks bump the responder mod n.
-    struct ModRank {
-        n: usize,
-    }
-
-    impl Protocol for ModRank {
-        type State = usize;
-        const DETERMINISTIC_INTERACT: bool = true;
-        fn interact(&self, a: &mut usize, b: &mut usize, _rng: &mut SmallRng) {
-            if a == b {
-                *b = (*b + 1) % self.n;
-            }
-        }
-        fn is_null_pair(&self, a: &usize, b: &usize) -> bool {
-            a != b
-        }
-    }
-
-    impl RankingProtocol for ModRank {
-        fn population_size(&self) -> usize {
-            self.n
-        }
-        fn rank_of(&self, state: &usize) -> Option<usize> {
-            Some(state + 1)
-        }
-    }
-
-    impl Corruptor for ModRank {
-        fn random_state(&self, rng: &mut SmallRng) -> usize {
-            rng.gen_range(0..self.n)
-        }
-    }
+    use crate::fault::{FaultAction, FaultPlan, FaultSize};
+    use crate::test_support::{assert_worker_count_invariant, Backend, ModRank, TrialKind};
 
     const N: usize = 16;
     const BUDGET: u64 = 400_000;
@@ -1225,42 +1017,20 @@ mod tests {
 
     #[test]
     fn runner_dynamics_trials_match_parallel() {
-        let runner = Runner::new(TrialSettings::new(4, 99, 60_000, 0));
-        let make = |_t: u64, _rng: &mut SmallRng| {
-            (
-                ModRank { n: N },
-                all_zero(N),
-                FaultPlan::none(),
-                ChurnPlan::parse("0.5", 31).unwrap(),
-                ByzantineSet::new(0.1, 37),
-            )
-        };
-        let sequential = runner.run_dynamics_trials(make);
-        let parallel = runner.run_dynamics_trials_parallel(2, make);
-        assert_eq!(sequential.len(), 4);
-        for (s, p) in sequential.iter().zip(&parallel) {
-            assert_eq!(s.trial, p.trial);
-            assert_eq!(s.report, p.report);
-        }
-        let counts_seq = runner.run_dynamics_trials_counts(make);
-        let counts_par = runner.run_dynamics_trials_counts_parallel(2, make);
-        for (s, p) in counts_seq.iter().zip(&counts_par) {
-            assert_eq!(s.report, p.report);
-        }
+        assert_worker_count_invariant(TrialKind::Dynamics, Backend::Agents);
+        assert_worker_count_invariant(TrialKind::Dynamics, Backend::Counts);
     }
 
     #[test]
     fn churn_record_reports_the_trial() {
-        let runner = Runner::new(TrialSettings::new(1, 42, 60_000, 0));
-        let outcome = &runner.run_dynamics_trials(|_t, _rng| {
-            (
-                ModRank { n: N },
-                all_zero(N),
-                FaultPlan::none(),
-                ChurnPlan::parse("1.0", 7).unwrap(),
-                ByzantineSet::none(),
-            )
-        })[0];
+        let mut sim = Simulation::new(ModRank { n: N }, all_zero(N), 42);
+        let outcome = &DynamicsTrialOutcome::measure(
+            0,
+            &mut sim,
+            &ChurnPlan::parse("1.0", 7).unwrap(),
+            &ByzantineSet::none(),
+            60_000,
+        );
         let record = outcome.churn_record("dyn", "modrank", "agents", None, 42, "1.0", 0.0);
         assert_eq!(record.n, N as u64);
         assert_eq!(record.final_n, N as u64);

@@ -30,9 +30,10 @@
 //! * [`RecoveryTracker`] / [`ChaosReport`] — per-fault recovery times and
 //!   leader-availability fractions, produced by
 //!   [`Simulation::run_chaos`](crate::Simulation::run_chaos).
-//! * [`ChaosTrialOutcome`] + [`Runner::run_chaos_trials_parallel`] — the
-//!   multi-trial driver, emitting versioned [`RunRecord`]/[`FaultRecord`]
-//!   JSONL for `ssle report`.
+//! * [`ChaosTrialOutcome`] — one timed chaos trial on either backend
+//!   ([`ChaosTrialOutcome::measure`], a trial body for
+//!   [`Runner::run`](crate::Runner::run)), emitting versioned
+//!   [`RunRecord`]/[`FaultRecord`] JSONL for `ssle report`.
 //!
 //! # Example
 //!
@@ -52,12 +53,13 @@ use std::time::{Duration, Instant};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
+use crate::backend::SimulationBackend;
 use crate::metrics::MetricsSink;
 use crate::observer::Observer;
 use crate::protocol::{Protocol, RankingProtocol};
 use crate::record::{FaultRecord, RunRecord};
-use crate::runner::{derive_seed, rng_from_seed, Runner};
-use crate::scheduler::{AnyScheduler, Reliability, SchedulerPolicy};
+use crate::runner::rng_from_seed;
+use crate::scheduler::SchedulerPolicy;
 use crate::simulation::{RunOutcome, Simulation};
 use crate::tracker::RankTracker;
 
@@ -884,6 +886,20 @@ pub struct ChaosTrialOutcome {
 }
 
 impl ChaosTrialOutcome {
+    /// Runs `sim` under its attached fault plan for at most
+    /// `max_interactions` (see [`Simulation::run_chaos`]), timing the run
+    /// as trial `trial`. The same trial body serves both backends.
+    pub fn measure<P, B>(trial: u64, sim: &mut B, max_interactions: u64) -> Self
+    where
+        P: Corruptor,
+        B: SimulationBackend<P>,
+    {
+        let n = sim.population_size();
+        let started = Instant::now();
+        let report = sim.run_chaos(max_interactions);
+        ChaosTrialOutcome { trial, n, report, wall: started.elapsed() }
+    }
+
     /// The trial-level experiment record (`kind = "trial"`).
     ///
     /// The record converges iff the run ranked at least once and recovered
@@ -946,270 +962,10 @@ impl ChaosTrialOutcome {
     }
 }
 
-/// Runs one seeded chaos trial. Seed derivation matches
-/// [`Runner::run_trials`]: configuration randomness from
-/// `derive_seed(base, 2·trial)`, the execution from
-/// `derive_seed(base, 2·trial + 1)` — so a chaos trial with an empty plan
-/// replays the corresponding plain trial's execution exactly.
-fn chaos_trial<P, F>(runner: &Runner, trial: u64, make: &mut F) -> ChaosTrialOutcome
-where
-    P: Corruptor,
-    F: FnMut(u64, &mut SmallRng) -> (P, Vec<P::State>, FaultPlan),
-{
-    let settings = *runner.settings();
-    let mut config_rng = rng_from_seed(derive_seed(settings.base_seed, 2 * trial));
-    let (protocol, initial, plan) = make(trial, &mut config_rng);
-    let n = initial.len();
-    let mut sim =
-        Simulation::new(protocol, initial, derive_seed(settings.base_seed, 2 * trial + 1))
-            .with_fault_plan(&plan);
-    let started = Instant::now();
-    let report = sim.run_chaos(settings.max_interactions);
-    ChaosTrialOutcome { trial, n, report, wall: started.elapsed() }
-}
-
-/// Like [`chaos_trial`], but under an explicit scheduler policy and
-/// reliability model. Same seed derivation; with the uniform policy and
-/// perfect reliability the execution is identical to [`chaos_trial`]'s.
-fn chaos_trial_scheduled<P, F>(runner: &Runner, trial: u64, make: &mut F) -> ChaosTrialOutcome
-where
-    P: Corruptor,
-    F: FnMut(u64, &mut SmallRng) -> (P, Vec<P::State>, FaultPlan, AnyScheduler, Reliability),
-{
-    let settings = *runner.settings();
-    let mut config_rng = rng_from_seed(derive_seed(settings.base_seed, 2 * trial));
-    let (protocol, initial, plan, policy, reliability) = make(trial, &mut config_rng);
-    let n = initial.len();
-    let mut sim = Simulation::with_policy(
-        protocol,
-        initial,
-        policy,
-        derive_seed(settings.base_seed, 2 * trial + 1),
-    )
-    .with_reliability(reliability)
-    .with_fault_plan(&plan);
-    let started = Instant::now();
-    let report = sim.run_chaos(settings.max_interactions);
-    ChaosTrialOutcome { trial, n, report, wall: started.elapsed() }
-}
-
-impl Runner {
-    /// Runs every chaos trial sequentially.
-    ///
-    /// `make` receives the trial index and a seeded RNG (for adversarial
-    /// initial configurations) and returns the protocol, initial
-    /// configuration, and fault plan for that trial. The settings'
-    /// `confirm_window` is unused: a chaos run ends when every fault has
-    /// fired and been recovered from, or at the interaction budget.
-    pub fn run_chaos_trials<P, F>(&self, mut make: F) -> Vec<ChaosTrialOutcome>
-    where
-        P: Corruptor,
-        F: FnMut(u64, &mut SmallRng) -> (P, Vec<P::State>, FaultPlan),
-    {
-        (0..self.settings().trials).map(|trial| chaos_trial(self, trial, &mut make)).collect()
-    }
-
-    /// Like [`Runner::run_chaos_trials`], but invokes `on_trial` after each
-    /// trial completes, in trial order. Seed derivation and outcomes match
-    /// the other chaos runners exactly; use this when a live progress
-    /// heartbeat needs to observe trials as they finish.
-    pub fn run_chaos_trials_observed<P, F, G>(
-        &self,
-        mut make: F,
-        mut on_trial: G,
-    ) -> Vec<ChaosTrialOutcome>
-    where
-        P: Corruptor,
-        F: FnMut(u64, &mut SmallRng) -> (P, Vec<P::State>, FaultPlan),
-        G: FnMut(&ChaosTrialOutcome),
-    {
-        (0..self.settings().trials)
-            .map(|trial| {
-                let outcome = chaos_trial(self, trial, &mut make);
-                on_trial(&outcome);
-                outcome
-            })
-            .collect()
-    }
-
-    /// [`Runner::run_chaos_trials_observed`] with a recording
-    /// [`crate::Metrics`] sink per trial; `on_trial` additionally receives
-    /// the trial's metrics. Chaos reports are identical to the
-    /// uninstrumented runner's (metrics never touch the simulation RNG).
-    pub fn run_chaos_trials_metrics<P, F, G>(
-        &self,
-        mut make: F,
-        mut on_trial: G,
-    ) -> Vec<(ChaosTrialOutcome, crate::Metrics)>
-    where
-        P: Corruptor,
-        F: FnMut(u64, &mut SmallRng) -> (P, Vec<P::State>, FaultPlan),
-        G: FnMut(&ChaosTrialOutcome, &crate::Metrics),
-    {
-        (0..self.settings().trials)
-            .map(|trial| {
-                let settings = *self.settings();
-                let mut config_rng = rng_from_seed(derive_seed(settings.base_seed, 2 * trial));
-                let (protocol, initial, plan) = make(trial, &mut config_rng);
-                let n = initial.len();
-                let mut metrics = crate::Metrics::new();
-                let mut sim = Simulation::new(
-                    protocol,
-                    initial,
-                    derive_seed(settings.base_seed, 2 * trial + 1),
-                )
-                .with_metrics(&mut metrics)
-                .with_fault_plan(&plan);
-                let started = Instant::now();
-                let report = sim.run_chaos(settings.max_interactions);
-                let wall = started.elapsed();
-                drop(sim);
-                let outcome = ChaosTrialOutcome { trial, n, report, wall };
-                on_trial(&outcome, &metrics);
-                (outcome, metrics)
-            })
-            .collect()
-    }
-
-    /// Scheduled-and-unreliable variant of
-    /// [`Runner::run_chaos_trials_observed`]: `make` additionally returns
-    /// the scheduler policy and reliability model per trial, and `on_trial`
-    /// fires after each trial in order.
-    pub fn run_chaos_trials_scheduled_observed<P, F, G>(
-        &self,
-        mut make: F,
-        mut on_trial: G,
-    ) -> Vec<ChaosTrialOutcome>
-    where
-        P: Corruptor,
-        F: FnMut(u64, &mut SmallRng) -> (P, Vec<P::State>, FaultPlan, AnyScheduler, Reliability),
-        G: FnMut(&ChaosTrialOutcome),
-    {
-        (0..self.settings().trials)
-            .map(|trial| {
-                let outcome = chaos_trial_scheduled(self, trial, &mut make);
-                on_trial(&outcome);
-                outcome
-            })
-            .collect()
-    }
-
-    /// Like [`Runner::run_chaos_trials`], but distributing trials over
-    /// `threads` worker threads. Outcomes are identical to the sequential
-    /// version (per-trial seeds do not depend on scheduling); only wall times
-    /// differ.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn run_chaos_trials_parallel<P, F>(&self, threads: usize, make: F) -> Vec<ChaosTrialOutcome>
-    where
-        P: Corruptor + Send,
-        P::State: Send,
-        F: Fn(u64, &mut SmallRng) -> (P, Vec<P::State>, FaultPlan) + Sync,
-    {
-        assert!(threads > 0, "at least one worker thread is required");
-        let make = &make;
-        let trials = self.settings().trials;
-        let mut results: Vec<ChaosTrialOutcome> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for worker in 0..threads {
-                let runner = *self;
-                let handle = scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut trial = worker as u64;
-                    while trial < trials {
-                        let mut make_fn = |t: u64, rng: &mut SmallRng| make(t, rng);
-                        out.push(chaos_trial(&runner, trial, &mut make_fn));
-                        trial += threads as u64;
-                    }
-                    out
-                });
-                handles.push(handle);
-            }
-            handles.into_iter().flat_map(|h| h.join().expect("worker thread panicked")).collect()
-        });
-        results.sort_unstable_by_key(|t| t.trial);
-        results
-    }
-
-    /// Like [`Runner::run_chaos_trials_parallel`], but each trial also picks
-    /// a scheduler policy and reliability model — the robustness-workload
-    /// driver. `make` returns `(protocol, initial, plan, scheduler,
-    /// reliability)`; outcomes are identical to a sequential run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn run_chaos_trials_scheduled_parallel<P, F>(
-        &self,
-        threads: usize,
-        make: F,
-    ) -> Vec<ChaosTrialOutcome>
-    where
-        P: Corruptor + Send,
-        P::State: Send,
-        F: Fn(u64, &mut SmallRng) -> (P, Vec<P::State>, FaultPlan, AnyScheduler, Reliability)
-            + Sync,
-    {
-        assert!(threads > 0, "at least one worker thread is required");
-        let make = &make;
-        let trials = self.settings().trials;
-        let mut results: Vec<ChaosTrialOutcome> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for worker in 0..threads {
-                let runner = *self;
-                let handle = scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut trial = worker as u64;
-                    while trial < trials {
-                        let mut make_fn = |t: u64, rng: &mut SmallRng| make(t, rng);
-                        out.push(chaos_trial_scheduled(&runner, trial, &mut make_fn));
-                        trial += threads as u64;
-                    }
-                    out
-                });
-                handles.push(handle);
-            }
-            handles.into_iter().flat_map(|h| h.join().expect("worker thread panicked")).collect()
-        });
-        results.sort_unstable_by_key(|t| t.trial);
-        results
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::TrialSettings;
-
-    /// Protocol 1 of the paper in miniature: rank collision bumps the
-    /// responder (mod n), so it ranks from any configuration.
-    #[derive(Clone)]
-    struct ModRank {
-        n: usize,
-    }
-    impl Protocol for ModRank {
-        type State = usize;
-        fn interact(&self, a: &mut usize, b: &mut usize, _rng: &mut SmallRng) {
-            if a == b {
-                *b = (*b + 1) % self.n;
-            }
-        }
-    }
-    impl RankingProtocol for ModRank {
-        fn population_size(&self) -> usize {
-            self.n
-        }
-        fn rank_of(&self, s: &usize) -> Option<usize> {
-            Some(s + 1)
-        }
-    }
-    impl Corruptor for ModRank {
-        fn random_state(&self, rng: &mut SmallRng) -> usize {
-            rng.gen_range(0..self.n)
-        }
-    }
+    use crate::test_support::{assert_worker_count_invariant, Backend, ModRank, TrialKind};
 
     fn ranked(n: usize) -> Vec<usize> {
         (0..n).collect()
@@ -1445,37 +1201,15 @@ mod tests {
 
     #[test]
     fn chaos_runner_is_reproducible_and_parallel_matches_sequential() {
-        let runner = Runner::new(TrialSettings::new(6, 13, 1_000_000, 0));
-        let make = |trial: u64, _rng: &mut SmallRng| {
-            let plan = FaultPlan::new(trial)
-                .after_convergence(4, FaultAction::CorruptRandom(FaultSize::Exact(1)));
-            (ModRank { n: 8 }, vec![0usize; 8], plan)
-        };
-        let sequential = runner.run_chaos_trials(make);
-        assert_eq!(sequential.len(), 6);
-        let again = runner.run_chaos_trials(make);
-        assert_eq!(
-            sequential.iter().map(|t| &t.report).collect::<Vec<_>>(),
-            again.iter().map(|t| &t.report).collect::<Vec<_>>()
-        );
-        for threads in [1, 2, 4] {
-            let parallel = runner.run_chaos_trials_parallel(threads, make);
-            assert_eq!(
-                parallel.iter().map(|t| &t.report).collect::<Vec<_>>(),
-                sequential.iter().map(|t| &t.report).collect::<Vec<_>>(),
-                "{threads} threads"
-            );
-        }
+        assert_worker_count_invariant(TrialKind::Chaos, Backend::Agents);
     }
 
     #[test]
     fn chaos_records_round_trip_schema() {
-        let runner = Runner::new(TrialSettings::new(1, 13, 1_000_000, 0));
-        let outcomes = runner.run_chaos_trials(|_, _| {
-            let plan = FaultPlan::new(8)
-                .after_convergence(4, FaultAction::PartialReset(FaultSize::Exact(2)));
-            (ModRank { n: 8 }, vec![0usize; 8], plan)
-        });
+        let plan =
+            FaultPlan::new(8).after_convergence(4, FaultAction::PartialReset(FaultSize::Exact(2)));
+        let mut sim = Simulation::new(ModRank { n: 8 }, vec![0usize; 8], 13).with_fault_plan(&plan);
+        let outcomes = [ChaosTrialOutcome::measure(0, &mut sim, 1_000_000)];
         let trial = outcomes[0].trial_record("chaos-test", "modrank", None, 13);
         assert!(trial.outcome.is_converged());
         assert_eq!(trial.faults, Some(1));

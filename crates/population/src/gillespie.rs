@@ -118,22 +118,7 @@ impl<P: Protocol> GillespieSimulation<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[derive(Clone, Debug, PartialEq, Eq)]
-    enum Fight {
-        Leader,
-        Follower,
-    }
-
-    struct FightProtocol;
-    impl Protocol for FightProtocol {
-        type State = Fight;
-        fn interact(&self, a: &mut Fight, b: &mut Fight, _rng: &mut SmallRng) {
-            if *a == Fight::Leader && *b == Fight::Leader {
-                *b = Fight::Follower;
-            }
-        }
-    }
+    use crate::test_support::{Fight, FightProtocol};
 
     #[test]
     fn clock_advances_monotonically() {

@@ -31,7 +31,7 @@
 //! | [`counts`] | count-based backend: [`counts::CountConfig`] multisets and the batched [`counts::BatchSimulation`] for huge `n` |
 //! | [`backend`] | [`SimulationBackend`]: one interface over the agent-array and count backends |
 //! | [`tracker`] | O(1)-per-interaction convergence detection for ranking protocols |
-//! | [`runner`] | multi-trial experiment driver with deterministic seed derivation |
+//! | [`runner`] | the one trial loop: [`Runner::run`] splits per-trial [`TrialSeeds`] from a base seed, strides trials over worker threads, and returns results in trial order; each trial body (ranked, chaos or dynamics, on either backend) is the caller's |
 //! | [`observer`] | [`Observer`] hooks into the hot loop; [`NoopObserver`] zero-cost default |
 //! | [`probe`] | sampled time series and the stabilization-certificate (closure) checker |
 //! | [`fault`] | chaos harness: [`FaultPlan`] schedules, mid-run [`Corruptor`] injection, recovery/availability measurement |
@@ -96,6 +96,8 @@ pub mod silence;
 pub mod simulation;
 pub mod snapshot;
 pub mod telemetry;
+#[cfg(test)]
+mod test_support;
 pub mod timeline;
 pub mod tracker;
 
@@ -121,7 +123,7 @@ pub use record::{
     from_jsonl_lenient, ChurnRecord, FaultRecord, FrontierRecord, LenientParse, MetricsRecord,
     RecordLine, RunRecord, ServerStatsRecord, ServiceRecord, TimelineRecord, TraceRecord,
 };
-pub use runner::{derive_seed, ConvergenceSample, Runner, TrialOutcome, TrialSettings};
+pub use runner::{derive_seed, ConvergenceSample, Runner, TrialOutcome, TrialSeeds, TrialSettings};
 pub use scheduler::{AnyScheduler, Reliability, Scheduler, SchedulerPolicy};
 pub use simulation::{RunOutcome, Simulation};
 pub use snapshot::{

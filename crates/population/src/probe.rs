@@ -331,6 +331,8 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
 
+    use crate::test_support::ModRank;
+
     #[derive(Clone, Debug)]
     struct Counter(u64);
     struct Inc;
@@ -429,30 +431,6 @@ mod tests {
     #[test]
     fn csv_table_of_empty_series_list_is_header_only() {
         assert_eq!(to_csv_table(&[]), "time\n");
-    }
-
-    /// Protocol 1 in miniature: genuinely self-stabilizing (once ranked,
-    /// all states are distinct and every interaction is a no-op).
-    #[derive(Clone)]
-    struct ModRank {
-        n: usize,
-    }
-    impl Protocol for ModRank {
-        type State = usize;
-        const DETERMINISTIC_INTERACT: bool = true;
-        fn interact(&self, a: &mut usize, b: &mut usize, _rng: &mut SmallRng) {
-            if a == b {
-                *b = (*b + 1) % self.n;
-            }
-        }
-    }
-    impl RankingProtocol for ModRank {
-        fn population_size(&self) -> usize {
-            self.n
-        }
-        fn rank_of(&self, s: &usize) -> Option<usize> {
-            Some(s + 1)
-        }
     }
 
     /// Converges through ranked configurations but keeps perturbing them:

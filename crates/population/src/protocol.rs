@@ -97,33 +97,7 @@ pub trait RankingProtocol: Protocol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-
-    /// Protocol 1 of the paper, reimplemented minimally for trait tests.
-    struct ModRank {
-        n: usize,
-    }
-
-    impl Protocol for ModRank {
-        type State = usize;
-        fn interact(&self, a: &mut usize, b: &mut usize, _rng: &mut SmallRng) {
-            if a == b {
-                *b = (*b + 1) % self.n;
-            }
-        }
-        fn is_null_pair(&self, a: &usize, b: &usize) -> bool {
-            a != b
-        }
-    }
-
-    impl RankingProtocol for ModRank {
-        fn population_size(&self) -> usize {
-            self.n
-        }
-        fn rank_of(&self, state: &usize) -> Option<usize> {
-            Some(state + 1)
-        }
-    }
+    use crate::test_support::ModRank;
 
     #[test]
     fn initiator_responder_asymmetry() {

@@ -2,10 +2,14 @@
 //!
 //! Expected-time rows of the paper's Table 1 are estimated by running many
 //! independent executions; WHP rows by high quantiles of the same sample.
-//! The runner derives per-trial seeds deterministically from a base seed so
-//! every experiment in the repository is reproducible bit-for-bit.
+//! [`Runner::run`] is the one trial loop: it splits each trial's
+//! [`TrialSeeds`] from a base seed, strides the trials over worker threads,
+//! and hands the results back in trial order, so every experiment in the
+//! repository is reproducible bit-for-bit at any worker count. What a
+//! trial does — plain, scheduled, chaos or dynamics, agents or counts,
+//! instrumented or not — is the body the caller passes in.
 //!
-//! Each trial is reported as a [`TrialOutcome`] carrying the full
+//! A ranked trial is reported as a [`TrialOutcome`] carrying the full
 //! [`RunOutcome`] plus wall-clock timing, convertible to a versioned
 //! [`RunRecord`] for JSONL experiment logs;
 //! [`ConvergenceSample`] is the statistical view the tables summarize.
@@ -15,11 +19,10 @@ use std::time::{Duration, Instant};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::metrics::Metrics;
+use crate::backend::SimulationBackend;
 use crate::protocol::RankingProtocol;
 use crate::record::RunRecord;
-use crate::scheduler::{AnyScheduler, Reliability};
-use crate::simulation::{RunOutcome, Simulation};
+use crate::simulation::RunOutcome;
 use crate::telemetry::Throughput;
 
 /// Creates the crate's standard RNG from a 64-bit seed.
@@ -45,8 +48,8 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Number of worker threads [`Runner::measure_ranking_auto`] uses: the
-/// machine's available parallelism, or 1 if that cannot be determined.
+/// The machine's available parallelism, or 1 if that cannot be determined
+/// — the worker count `--threads auto` passes to [`Runner::run`].
 pub fn auto_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
@@ -62,7 +65,7 @@ pub struct TrialSettings {
     /// as exhausted rather than aborting the experiment.
     pub max_interactions: u64,
     /// Extra interactions a ranked configuration must survive to count as
-    /// converged (see [`Simulation::run_until_stably_ranked`]).
+    /// converged (see [`crate::Simulation::run_until_stably_ranked`]).
     pub confirm_window: u64,
 }
 
@@ -134,6 +137,21 @@ impl TrialOutcome {
             starve_window: None,
         }
     }
+
+    /// Runs `sim` to a stable ranking within `settings`' interaction budget
+    /// and confirmation window, timing the run as trial `trial`. The same
+    /// trial body serves both backends.
+    pub fn measure<P, B>(trial: u64, sim: &mut B, settings: &TrialSettings) -> Self
+    where
+        P: RankingProtocol,
+        B: SimulationBackend<P>,
+    {
+        let n = sim.population_size();
+        let started = Instant::now();
+        let outcome =
+            sim.run_until_stably_ranked(settings.max_interactions, settings.confirm_window);
+        TrialOutcome { trial, n, outcome, wall: started.elapsed() }
+    }
 }
 
 /// The outcome of a batch of trials: per-trial parallel stabilization times
@@ -188,7 +206,42 @@ impl ConvergenceSample {
     }
 }
 
-/// Runs batches of independent ranking executions.
+/// The seeds of one trial, split from the experiment's base seed.
+///
+/// Trial `t` draws its configuration randomness from
+/// [`derive_seed`]`(base, 2t)` and runs its execution from
+/// `derive_seed(base, 2t + 1)`, so its outcome depends only on
+/// `(base, t)` — never on which worker ran it or in what order — and a
+/// chaos or dynamics trial with empty plans replays the plain trial of the
+/// same index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TrialSeeds {
+    /// Trial index within the experiment.
+    pub trial: u64,
+    /// Seed for the trial's configuration randomness (adversarial starts,
+    /// fault and churn plan seeds).
+    pub config: u64,
+    /// Seed for the execution's own RNG.
+    pub execution: u64,
+}
+
+impl TrialSeeds {
+    /// The seeds of trial `trial` under base seed `base_seed`.
+    pub fn new(base_seed: u64, trial: u64) -> Self {
+        TrialSeeds {
+            trial,
+            config: derive_seed(base_seed, 2 * trial),
+            execution: derive_seed(base_seed, 2 * trial + 1),
+        }
+    }
+
+    /// A fresh RNG over the configuration seed.
+    pub fn config_rng(&self) -> SmallRng {
+        rng_from_seed(self.config)
+    }
+}
+
+/// Runs batches of independent, seeded trials.
 #[derive(Debug, Clone, Copy)]
 pub struct Runner {
     settings: TrialSettings,
@@ -205,71 +258,35 @@ impl Runner {
         &self.settings
     }
 
-    /// Runs every trial sequentially, returning full per-trial outcomes.
+    /// Runs every trial through `body` on `threads` workers and returns
+    /// the results in trial order.
     ///
-    /// `make` receives the trial index and a seeded RNG (for building
-    /// adversarial initial configurations) and returns the protocol instance
-    /// plus initial configuration for that trial. The execution itself uses
-    /// an independent seed derived from the same trial index.
-    pub fn run_trials<P, F>(&self, mut make: F) -> Vec<TrialOutcome>
-    where
-        P: RankingProtocol,
-        F: FnMut(u64, &mut SmallRng) -> (P, Vec<P::State>),
-    {
-        (0..self.settings.trials).map(|trial| self.one_trial(trial, &mut make)).collect()
-    }
-
-    /// Like [`Runner::run_trials`], but distributing trials over `threads`
-    /// worker threads.
+    /// `body` receives each trial's [`TrialSeeds`] and performs the whole
+    /// trial — building the configuration from
+    /// [`TrialSeeds::config_rng`], the execution from
+    /// [`TrialSeeds::execution`], and running it (see
+    /// [`TrialOutcome::measure`], [`crate::ChaosTrialOutcome::measure`]
+    /// and [`crate::DynamicsTrialOutcome::measure`]). Results depend only on the
+    /// seeds, so they are identical for every worker count; only wall
+    /// times differ. To instrument a run, attach
+    /// [`Metrics`](crate::Metrics) inside `body` and return it alongside
+    /// the outcome.
     ///
-    /// Produces the **same outcomes** as the sequential version for the same
-    /// settings (per-trial seeds do not depend on scheduling); only wall
-    /// times differ. `make` is shared by the workers, so it takes `&self`
-    /// here (any per-trial randomness should come from the provided RNG,
-    /// which is seeded per trial).
+    /// `on_trial` sees each result once, in trial order: live as each
+    /// trial finishes when `threads == 1` (progress heartbeats), after all
+    /// workers join otherwise.
     ///
     /// # Panics
     ///
     /// Panics if `threads == 0`.
-    pub fn run_trials_parallel<P, F>(&self, threads: usize, make: F) -> Vec<TrialOutcome>
-    where
-        P: RankingProtocol + Send,
-        P::State: Send,
-        F: Fn(u64, &mut SmallRng) -> (P, Vec<P::State>) + Sync,
-    {
-        assert!(threads > 0, "at least one worker thread is required");
-        let make = &make;
-        // Workers take strided slices of the trial range; outcomes are
-        // reassembled in trial order afterwards so the output is
-        // deterministic.
-        let mut results: Vec<TrialOutcome> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for worker in 0..threads {
-                let runner = *self;
-                let handle = scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut trial = worker as u64;
-                    while trial < runner.settings.trials {
-                        let mut make_fn = |t: u64, rng: &mut SmallRng| make(t, rng);
-                        out.push(runner.one_trial(trial, &mut make_fn));
-                        trial += threads as u64;
-                    }
-                    out
-                });
-                handles.push(handle);
-            }
-            handles.into_iter().flat_map(|h| h.join().expect("worker thread panicked")).collect()
-        });
-        results.sort_unstable_by_key(|t| t.trial);
-        results
-    }
-
-    /// Measures stabilization time over independent trials.
     ///
     /// # Examples
     ///
     /// ```
-    /// use population::{Runner, TrialSettings, Protocol, RankingProtocol};
+    /// use population::{
+    ///     ConvergenceSample, Protocol, RankingProtocol, Runner, Simulation, TrialOutcome,
+    ///     TrialSettings,
+    /// };
     /// use rand::rngs::SmallRng;
     ///
     /// // Protocol 1 of the paper in miniature: rank collision bumps the responder.
@@ -285,180 +302,88 @@ impl Runner {
     ///     fn rank_of(&self, s: &usize) -> Option<usize> { Some(s + 1) }
     /// }
     ///
-    /// let runner = Runner::new(TrialSettings::new(5, 42, 1_000_000, 0));
-    /// let sample = runner.measure_ranking(|_, _| (ModRank { n: 8 }, vec![0usize; 8]));
+    /// let settings = TrialSettings::new(5, 42, 1_000_000, 0);
+    /// let trials = Runner::new(settings).run(
+    ///     2,
+    ///     |s| {
+    ///         let mut sim = Simulation::new(ModRank { n: 8 }, vec![0usize; 8], s.execution);
+    ///         TrialOutcome::measure(s.trial, &mut sim, &settings)
+    ///     },
+    ///     |_| {},
+    /// );
+    /// let sample = ConvergenceSample::from_trials(&trials);
     /// assert!(sample.all_converged());
     /// assert_eq!(sample.len(), 5);
     /// ```
-    pub fn measure_ranking<P, F>(&self, make: F) -> ConvergenceSample
+    pub fn run<T, B, C>(&self, threads: usize, body: B, mut on_trial: C) -> Vec<T>
     where
-        P: RankingProtocol,
-        F: FnMut(u64, &mut SmallRng) -> (P, Vec<P::State>),
-    {
-        ConvergenceSample::from_trials(&self.run_trials(make))
-    }
-
-    /// Like [`Runner::measure_ranking`], but distributing trials over
-    /// `threads` worker threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn measure_ranking_parallel<P, F>(&self, threads: usize, make: F) -> ConvergenceSample
-    where
-        P: RankingProtocol + Send,
-        P::State: Send,
-        F: Fn(u64, &mut SmallRng) -> (P, Vec<P::State>) + Sync,
-    {
-        ConvergenceSample::from_trials(&self.run_trials_parallel(threads, make))
-    }
-
-    /// Like [`Runner::measure_ranking_parallel`] with the thread count taken
-    /// from the machine ([`auto_threads`], i.e.
-    /// `std::thread::available_parallelism()`).
-    pub fn measure_ranking_auto<P, F>(&self, make: F) -> ConvergenceSample
-    where
-        P: RankingProtocol + Send,
-        P::State: Send,
-        F: Fn(u64, &mut SmallRng) -> (P, Vec<P::State>) + Sync,
-    {
-        self.measure_ranking_parallel(auto_threads(), make)
-    }
-
-    /// [`Runner::run_trials`] with a recording [`Metrics`] sink per trial.
-    /// Sequential; the trial outcomes are identical to the uninstrumented
-    /// runner's — metrics never touch the simulation RNG, so instrumenting
-    /// a run cannot change what it computes.
-    pub fn run_trials_metrics<P, F>(&self, mut make: F) -> Vec<(TrialOutcome, Metrics)>
-    where
-        P: RankingProtocol,
-        F: FnMut(u64, &mut SmallRng) -> (P, Vec<P::State>),
-    {
-        (0..self.settings.trials)
-            .map(|trial| {
-                let mut config_rng = rng_from_seed(derive_seed(self.settings.base_seed, 2 * trial));
-                let (protocol, initial) = make(trial, &mut config_rng);
-                let n = initial.len();
-                let mut metrics = Metrics::new();
-                let mut sim = Simulation::new(
-                    protocol,
-                    initial,
-                    derive_seed(self.settings.base_seed, 2 * trial + 1),
-                )
-                .with_metrics(&mut metrics);
-                let started = Instant::now();
-                let outcome = sim.run_until_stably_ranked(
-                    self.settings.max_interactions,
-                    self.settings.confirm_window,
-                );
-                let wall = started.elapsed();
-                drop(sim);
-                (TrialOutcome { trial, n, outcome, wall }, metrics)
-            })
-            .collect()
-    }
-
-    /// Runs one seeded trial to stable ranking (or budget exhaustion).
-    fn one_trial<P, F>(&self, trial: u64, make: &mut F) -> TrialOutcome
-    where
-        P: RankingProtocol,
-        F: FnMut(u64, &mut SmallRng) -> (P, Vec<P::State>),
-    {
-        let mut config_rng = rng_from_seed(derive_seed(self.settings.base_seed, 2 * trial));
-        let (protocol, initial) = make(trial, &mut config_rng);
-        let n = initial.len();
-        let mut sim =
-            Simulation::new(protocol, initial, derive_seed(self.settings.base_seed, 2 * trial + 1));
-        let started = Instant::now();
-        let outcome = sim
-            .run_until_stably_ranked(self.settings.max_interactions, self.settings.confirm_window);
-        TrialOutcome { trial, n, outcome, wall: started.elapsed() }
-    }
-
-    /// Like [`Runner::run_trials_parallel`], but each trial also picks a
-    /// scheduler policy and reliability model — the robustness-workload
-    /// driver. `make` returns `(protocol, initial, scheduler, reliability)`;
-    /// with [`AnyScheduler::uniform`] and [`Reliability::perfect`] the
-    /// outcomes match [`Runner::run_trials`] exactly (same seed derivation,
-    /// same draws).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn run_trials_scheduled_parallel<P, F>(&self, threads: usize, make: F) -> Vec<TrialOutcome>
-    where
-        P: RankingProtocol + Send,
-        P::State: Send,
-        F: Fn(u64, &mut SmallRng) -> (P, Vec<P::State>, AnyScheduler, Reliability) + Sync,
+        T: Send,
+        B: Fn(TrialSeeds) -> T + Sync,
+        C: FnMut(&T),
     {
         assert!(threads > 0, "at least one worker thread is required");
-        let make = &make;
-        let mut results: Vec<TrialOutcome> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for worker in 0..threads {
-                let runner = *self;
-                let handle = scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut trial = worker as u64;
-                    while trial < runner.settings.trials {
-                        out.push(runner.one_trial_scheduled(trial, make));
-                        trial += threads as u64;
-                    }
+        let TrialSettings { trials, base_seed, .. } = self.settings;
+        if threads == 1 {
+            return (0..trials)
+                .map(|trial| {
+                    let out = body(TrialSeeds::new(base_seed, trial));
+                    on_trial(&out);
                     out
-                });
-                handles.push(handle);
-            }
+                })
+                .collect();
+        }
+        let body = &body;
+        // Workers take strided slices of the trial range; results are
+        // reassembled in trial order afterwards so the output is
+        // deterministic.
+        let mut results: Vec<(u64, T)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads as u64)
+                .map(|worker| {
+                    scope.spawn(move || {
+                        (worker..trials)
+                            .step_by(threads)
+                            .map(|trial| (trial, body(TrialSeeds::new(base_seed, trial))))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
             handles.into_iter().flat_map(|h| h.join().expect("worker thread panicked")).collect()
         });
-        results.sort_unstable_by_key(|t| t.trial);
+        results.sort_unstable_by_key(|(trial, _)| *trial);
         results
-    }
-
-    fn one_trial_scheduled<P, F>(&self, trial: u64, make: &F) -> TrialOutcome
-    where
-        P: RankingProtocol,
-        F: Fn(u64, &mut SmallRng) -> (P, Vec<P::State>, AnyScheduler, Reliability),
-    {
-        let mut config_rng = rng_from_seed(derive_seed(self.settings.base_seed, 2 * trial));
-        let (protocol, initial, policy, reliability) = make(trial, &mut config_rng);
-        let n = initial.len();
-        let mut sim = Simulation::with_policy(
-            protocol,
-            initial,
-            policy,
-            derive_seed(self.settings.base_seed, 2 * trial + 1),
-        )
-        .with_reliability(reliability);
-        let started = Instant::now();
-        let outcome = sim
-            .run_until_stably_ranked(self.settings.max_interactions, self.settings.confirm_window);
-        TrialOutcome { trial, n, outcome, wall: started.elapsed() }
+            .into_iter()
+            .map(|(_, out)| {
+                on_trial(&out);
+                out
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::protocol::{Protocol, RankingProtocol};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
-    struct ModRank {
-        n: usize,
-    }
-    impl Protocol for ModRank {
-        type State = usize;
-        fn interact(&self, a: &mut usize, b: &mut usize, _rng: &mut SmallRng) {
-            if a == b {
-                *b = (*b + 1) % self.n;
-            }
-        }
-    }
-    impl RankingProtocol for ModRank {
-        fn population_size(&self) -> usize {
-            self.n
-        }
-        fn rank_of(&self, s: &usize) -> Option<usize> {
-            Some(s + 1)
-        }
+    use super::*;
+    use crate::dynamics::{ByzantineSet, ChurnPlan};
+    use crate::fault::ChaosTrialOutcome;
+    use crate::metrics::{Metrics, NoopMetrics};
+    use crate::scheduler::{AnyScheduler, Reliability};
+    use crate::simulation::Simulation;
+    use crate::test_support::{
+        assert_worker_count_invariant, chaos, dynamics, plan, ranked, start, Backend, ModRank,
+        TrialKind, BACKENDS, N,
+    };
+
+    /// Ranked trials from `initial` on the agent array.
+    fn ranked_from(runner: &Runner, initial: &[usize]) -> Vec<TrialOutcome> {
+        let settings = *runner.settings();
+        let body = |s: TrialSeeds| {
+            let mut sim =
+                Simulation::new(ModRank { n: initial.len() }, initial.to_vec(), s.execution);
+            TrialOutcome::measure(s.trial, &mut sim, &settings)
+        };
+        runner.run(1, body, |_| {})
     }
 
     #[test]
@@ -469,19 +394,157 @@ mod tests {
     }
 
     #[test]
+    fn trial_seeds_split_the_base_seed_in_two() {
+        let s = TrialSeeds::new(7, 3);
+        assert_eq!(
+            s,
+            TrialSeeds { trial: 3, config: derive_seed(7, 6), execution: derive_seed(7, 7) }
+        );
+        let other = TrialSeeds::new(7, 4);
+        assert_ne!((s.config, s.execution), (other.config, other.execution));
+    }
+
+    #[test]
+    fn driver_returns_every_trial_in_order_at_any_worker_count() {
+        for trials in [0, 1, 7] {
+            let runner = Runner::new(TrialSettings::new(trials, 11, 0, 0));
+            let expected: Vec<TrialSeeds> = (0..trials).map(|t| TrialSeeds::new(11, t)).collect();
+            for threads in [1, 2, 3, 5] {
+                let mut seen = Vec::new();
+                let out = runner.run(threads, |s| s, |s| seen.push(s.trial));
+                assert_eq!(out, expected, "{trials} trials on {threads} threads");
+                assert_eq!(
+                    seen,
+                    (0..trials).collect::<Vec<_>>(),
+                    "{trials} trials on {threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn on_trial_fires_live_with_one_worker() {
+        let runner = Runner::new(TrialSettings::new(5, 1, 0, 0));
+        let started = AtomicU64::new(0);
+        runner.run(
+            1,
+            |s| {
+                started.fetch_add(1, Ordering::SeqCst);
+                s.trial
+            },
+            |&trial| assert_eq!(started.load(Ordering::SeqCst), trial + 1, "callback lagged"),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one worker")]
+    fn zero_threads_is_rejected() {
+        Runner::new(TrialSettings::new(1, 1, 10, 0)).run(0, |s| s, |_| {});
+    }
+
+    #[test]
+    fn parallel_runner_matches_sequential_sample() {
+        for kind in [TrialKind::Ranked, TrialKind::Chaos, TrialKind::Dynamics] {
+            for backend in BACKENDS {
+                assert_worker_count_invariant(kind, backend);
+            }
+        }
+    }
+
+    #[test]
     fn measurements_are_reproducible() {
         let runner = Runner::new(TrialSettings::new(4, 7, 500_000, 0));
-        let a = runner.measure_ranking(|_, _| (ModRank { n: 6 }, vec![0usize; 6]));
-        let b = runner.measure_ranking(|_, _| (ModRank { n: 6 }, vec![0usize; 6]));
-        assert_eq!(a, b);
+        let a = ConvergenceSample::from_trials(&ranked_from(&runner, &[0; 6]));
+        assert_eq!(a, ConvergenceSample::from_trials(&ranked_from(&runner, &[0; 6])));
         assert!(a.all_converged());
+    }
+
+    #[test]
+    fn auto_runner_matches_sequential_sample() {
+        assert!(auto_threads() >= 1);
+        let runner = Runner::new(TrialSettings::new(6, 13, 1_000_000, 5));
+        for backend in BACKENDS {
+            let sequential = ranked::<NoopMetrics>(&runner, 1, backend);
+            assert_eq!(ranked::<NoopMetrics>(&runner, auto_threads(), backend), sequential);
+        }
+    }
+
+    #[test]
+    fn metrics_never_change_outcomes_on_both_backends() {
+        let runner = Runner::new(TrialSettings::new(5, 21, 1_000_000, 5));
+        for backend in BACKENDS {
+            let plain = ranked::<NoopMetrics>(&runner, 2, backend);
+            assert_eq!(ranked::<Metrics>(&runner, 2, backend), plain, "{backend:?} ranked");
+            let plain = chaos::<NoopMetrics>(&runner, 2, backend);
+            assert_eq!(chaos::<Metrics>(&runner, 2, backend), plain, "{backend:?} chaos");
+        }
+    }
+
+    #[test]
+    fn empty_plan_dynamics_equals_chaos_on_both_backends() {
+        let runner = Runner::new(TrialSettings::new(5, 17, 1_000_000, 0));
+        for backend in BACKENDS {
+            let dynamics = dynamics(&runner, 2, backend, &ChurnPlan::none(), &ByzantineSet::none());
+            let as_chaos: Vec<_> = dynamics.into_iter().map(|(t, r)| (t, r.chaos)).collect();
+            assert_eq!(as_chaos, chaos::<NoopMetrics>(&runner, 2, backend), "{backend:?}");
+        }
+    }
+
+    #[test]
+    fn scheduled_runner_with_uniform_matches_plain_runner() {
+        let runner = Runner::new(TrialSettings::new(6, 13, 1_000_000, 5));
+        let settings = *runner.settings();
+        let scheduled = |s: TrialSeeds| {
+            Simulation::with_policy(
+                ModRank { n: N },
+                start(s),
+                AnyScheduler::uniform(N),
+                s.execution,
+            )
+            .with_reliability(Reliability::perfect())
+        };
+        let ranked_body = |s: TrialSeeds| {
+            let t = TrialOutcome::measure(s.trial, &mut scheduled(s), &settings);
+            (t.trial, t.n, t.outcome)
+        };
+        assert_eq!(
+            runner.run(2, ranked_body, |_| {}),
+            ranked::<NoopMetrics>(&runner, 1, Backend::Agents)
+        );
+        let chaos_body = |s: TrialSeeds| {
+            let mut sim = scheduled(s).with_fault_plan(&plan(s));
+            (s.trial, ChaosTrialOutcome::measure(s.trial, &mut sim, 1_000_000).report)
+        };
+        assert_eq!(
+            runner.run(2, chaos_body, |_| {}),
+            chaos::<NoopMetrics>(&runner, 1, Backend::Agents)
+        );
+    }
+
+    #[test]
+    fn scheduled_runner_converges_under_adversarial_policies() {
+        let runner = Runner::new(TrialSettings::new(3, 17, 2_000_000, 5));
+        let settings = *runner.settings();
+        for spec in ["zipf:1", "starve:2:64", "clustered:2:0.1"] {
+            let body = |s: TrialSeeds| {
+                let policy = AnyScheduler::from_spec(spec, N).unwrap();
+                let mut sim =
+                    Simulation::with_policy(ModRank { n: N }, vec![0; N], policy, s.execution)
+                        .with_reliability(Reliability::with_omission(0.1));
+                TrialOutcome::measure(s.trial, &mut sim, &settings)
+            };
+            let trials = runner.run(2, body, |_| {});
+            assert!(trials.iter().all(|t| t.outcome.is_converged()), "{spec} failed to converge");
+        }
     }
 
     #[test]
     fn budget_exhaustion_is_counted_not_fatal() {
         // An interaction budget of 1 cannot rank 6 agents from all-zero.
-        let runner = Runner::new(TrialSettings::new(3, 7, 1, 0));
-        let sample = runner.measure_ranking(|_, _| (ModRank { n: 6 }, vec![0usize; 6]));
+        let sample = ConvergenceSample::from_trials(&ranked_from(
+            &Runner::new(TrialSettings::new(3, 7, 1, 0)),
+            &[0; 6],
+        ));
         assert_eq!(sample.exhausted(), 3);
         assert!(sample.is_empty());
         assert!(!sample.all_converged());
@@ -491,16 +554,17 @@ mod tests {
     fn exhausted_trials_retain_interaction_counts() {
         // Budget 17: every trial burns the whole budget and the sample must
         // say so exactly, not just count casualties.
-        let runner = Runner::new(TrialSettings::new(3, 7, 17, 0));
-        let sample = runner.measure_ranking(|_, _| (ModRank { n: 6 }, vec![0usize; 6]));
+        let sample = ConvergenceSample::from_trials(&ranked_from(
+            &Runner::new(TrialSettings::new(3, 7, 17, 0)),
+            &[0; 6],
+        ));
         assert_eq!(sample.exhausted_interactions, vec![17, 17, 17]);
         assert_eq!(sample.exhausted(), 3);
     }
 
     #[test]
     fn trial_outcomes_carry_wall_time_and_records() {
-        let runner = Runner::new(TrialSettings::new(2, 7, 1_000_000, 0));
-        let trials = runner.run_trials(|_, _| (ModRank { n: 6 }, vec![0usize; 6]));
+        let trials = ranked_from(&Runner::new(TrialSettings::new(2, 7, 1_000_000, 0)), &[0; 6]);
         assert_eq!(trials.len(), 2);
         for (i, t) in trials.iter().enumerate() {
             assert_eq!(t.trial, i as u64);
@@ -517,73 +581,17 @@ mod tests {
 
     #[test]
     fn already_correct_configuration_converges_immediately() {
-        let runner = Runner::new(TrialSettings::new(2, 7, 1000, 10));
-        let sample = runner.measure_ranking(|_, _| (ModRank { n: 4 }, vec![0, 1, 2, 3]));
+        let trials = ranked_from(&Runner::new(TrialSettings::new(2, 7, 1000, 10)), &[0, 1, 2, 3]);
+        let sample = ConvergenceSample::from_trials(&trials);
         assert!(sample.all_converged());
         assert!(sample.parallel_times.iter().all(|&t| t == 0.0));
     }
 
     #[test]
-    fn parallel_runner_matches_sequential_sample() {
-        let runner = Runner::new(TrialSettings::new(9, 13, 1_000_000, 5));
-        let sequential = runner.measure_ranking(|_, _| (ModRank { n: 8 }, vec![0usize; 8]));
-        for threads in [1, 2, 4] {
-            let parallel = runner
-                .measure_ranking_parallel(threads, |_, _| (ModRank { n: 8 }, vec![0usize; 8]));
-            assert_eq!(parallel, sequential, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn auto_runner_matches_sequential_sample() {
-        assert!(auto_threads() >= 1);
-        let runner = Runner::new(TrialSettings::new(6, 13, 1_000_000, 5));
-        let sequential = runner.measure_ranking(|_, _| (ModRank { n: 8 }, vec![0usize; 8]));
-        let auto = runner.measure_ranking_auto(|_, _| (ModRank { n: 8 }, vec![0usize; 8]));
-        assert_eq!(auto, sequential);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_threads_is_rejected() {
-        let runner = Runner::new(TrialSettings::new(1, 1, 10, 0));
-        runner.measure_ranking_parallel(0, |_, _| (ModRank { n: 4 }, vec![0usize; 4]));
-    }
-
-    #[test]
-    fn scheduled_runner_with_uniform_matches_plain_runner() {
-        let runner = Runner::new(TrialSettings::new(6, 13, 1_000_000, 5));
-        let plain = runner.run_trials(|_, _| (ModRank { n: 8 }, vec![0usize; 8]));
-        let scheduled = runner.run_trials_scheduled_parallel(2, |_, _| {
-            (ModRank { n: 8 }, vec![0usize; 8], AnyScheduler::uniform(8), Reliability::perfect())
-        });
-        assert_eq!(plain.len(), scheduled.len());
-        for (a, b) in plain.iter().zip(&scheduled) {
-            assert_eq!((a.trial, a.n, a.outcome), (b.trial, b.n, b.outcome));
-        }
-    }
-
-    #[test]
-    fn scheduled_runner_converges_under_adversarial_policies() {
-        let runner = Runner::new(TrialSettings::new(3, 17, 2_000_000, 5));
-        for spec in ["zipf:1", "starve:2:64", "clustered:2:0.1"] {
-            let trials = runner.run_trials_scheduled_parallel(2, |_, _| {
-                (
-                    ModRank { n: 8 },
-                    vec![0usize; 8],
-                    AnyScheduler::from_spec(spec, 8).unwrap(),
-                    Reliability::with_omission(0.1),
-                )
-            });
-            assert!(trials.iter().all(|t| t.outcome.is_converged()), "{spec} failed to converge");
-        }
-    }
-
-    #[test]
     fn trial_seeds_differ_across_trials() {
         // From an all-zero start, different trials should take different times.
-        let runner = Runner::new(TrialSettings::new(8, 3, 1_000_000, 0));
-        let sample = runner.measure_ranking(|_, _| (ModRank { n: 8 }, vec![0usize; 8]));
+        let trials = ranked_from(&Runner::new(TrialSettings::new(8, 3, 1_000_000, 0)), &[0; 8]);
+        let sample = ConvergenceSample::from_trials(&trials);
         let first = sample.parallel_times[0];
         assert!(
             sample.parallel_times.iter().any(|&t| (t - first).abs() > 1e-9),
