@@ -38,7 +38,7 @@ use analysis::{median_trajectory, quantile, summarize_buckets, Ecdf};
 use population::metrics::decode_histogram;
 use population::record::{
     from_jsonl_lenient, ChurnRecord, CrashRecord, FaultRecord, FrontierRecord, HealthRecord,
-    JsonObject, MetricsRecord, RecordLine, RunRecord, ServerStatsRecord, ServiceRecord,
+    JsonObject, MetricsRecord, Record, RecordLine, RunRecord, ServerStatsRecord, ServiceRecord,
     TimelineRecord, TraceRecord,
 };
 use population::ConvergenceSample;
@@ -57,9 +57,6 @@ type FaultKey = (String, String, u64, Option<u64>, String);
 
 /// One frontier group key: `(experiment, workload, backend, n)`.
 type FrontierKey = (String, String, String, u64);
-
-/// One timeline trial key: `(experiment, protocol, backend, n, trial)`.
-type TimelineKey = (String, String, String, u64, u64);
 
 /// One timeline cohort (trials aggregated): `(experiment, protocol,
 /// backend, n)`.
@@ -178,19 +175,9 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     }
 }
 
-/// Everything one JSONL stream contains, split by record kind.
+/// Everything one JSONL stream contains, in stream order.
 struct Loaded {
-    records: Vec<RunRecord>,
-    faults: Vec<FaultRecord>,
-    frontier: Vec<FrontierRecord>,
-    timelines: Vec<TimelineRecord>,
-    metrics: Vec<MetricsRecord>,
-    churn: Vec<ChurnRecord>,
-    services: Vec<ServiceRecord>,
-    crashes: Vec<CrashRecord>,
-    health: Vec<HealthRecord>,
-    server_stats: Vec<ServerStatsRecord>,
-    traces: Vec<TraceRecord>,
+    lines: Vec<RecordLine>,
     /// `(line number, reason)` pairs a newer writer could have produced —
     /// unknown `kind` or a schema version above ours. Counted and warned
     /// about instead of silently skipped.
@@ -198,18 +185,14 @@ struct Loaded {
 }
 
 impl Loaded {
-    fn total(&self) -> usize {
-        self.records.len()
-            + self.faults.len()
-            + self.frontier.len()
-            + self.timelines.len()
-            + self.metrics.len()
-            + self.churn.len()
-            + self.services.len()
-            + self.crashes.len()
-            + self.health.len()
-            + self.server_stats.len()
-            + self.traces.len()
+    /// The stream's records of kind `R`, grouped by `key` in key order;
+    /// each group keeps stream order.
+    fn group<R: Record, K: Ord>(&self, key: impl Fn(&R) -> K) -> BTreeMap<K, Vec<&R>> {
+        let mut groups: BTreeMap<K, Vec<&R>> = BTreeMap::new();
+        for record in self.lines.iter().filter_map(R::of_line) {
+            groups.entry(key(record)).or_default().push(record);
+        }
+        groups
     }
 
     /// Distinct set-aside reasons with counts and the first offending line
@@ -242,41 +225,18 @@ impl Loaded {
     }
 }
 
+/// Number of records across a grouping's groups.
+fn record_count<K, R>(groups: &BTreeMap<K, Vec<&R>>) -> usize {
+    groups.values().map(Vec::len).sum()
+}
+
 fn load(path: &str) -> Result<Loaded, CliError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::Report { path: path.to_string(), reason: e.to_string() })?;
     let parsed = from_jsonl_lenient(&text)
         .map_err(|reason| CliError::Report { path: path.to_string(), reason })?;
-    let mut loaded = Loaded {
-        records: Vec::new(),
-        faults: Vec::new(),
-        frontier: Vec::new(),
-        timelines: Vec::new(),
-        metrics: Vec::new(),
-        churn: Vec::new(),
-        services: Vec::new(),
-        crashes: Vec::new(),
-        health: Vec::new(),
-        server_stats: Vec::new(),
-        traces: Vec::new(),
-        skipped: parsed.skipped,
-    };
-    for line in parsed.records {
-        match line {
-            RecordLine::Trial(r) => loaded.records.push(r),
-            RecordLine::Fault(f) => loaded.faults.push(f),
-            RecordLine::Frontier(f) => loaded.frontier.push(f),
-            RecordLine::Timeline(t) => loaded.timelines.push(t),
-            RecordLine::Metrics(m) => loaded.metrics.push(m),
-            RecordLine::Churn(c) => loaded.churn.push(c),
-            RecordLine::Service(s) => loaded.services.push(s),
-            RecordLine::Crash(c) => loaded.crashes.push(c),
-            RecordLine::Health(h) => loaded.health.push(h),
-            RecordLine::ServerStats(s) => loaded.server_stats.push(s),
-            RecordLine::Trace(t) => loaded.traces.push(t),
-        }
-    }
-    if loaded.total() == 0 {
+    let loaded = Loaded { lines: parsed.records, skipped: parsed.skipped };
+    if loaded.lines.is_empty() {
         let reason = if loaded.skipped.is_empty() {
             "the file contains no records".to_string()
         } else {
@@ -291,19 +251,66 @@ fn load(path: &str) -> Result<Loaded, CliError> {
     Ok(loaded)
 }
 
+/// Trial groups: `(experiment, protocol, n, h, scheduler)`.
+fn trial_key(r: &RunRecord) -> GroupKey {
+    let scheduler = r.scheduler.clone().unwrap_or_else(|| "uniform".to_string());
+    (r.experiment.clone(), r.protocol.clone(), r.n, r.h, scheduler)
+}
+
+/// Frontier groups: `(experiment, workload, backend, n)`.
+fn frontier_key(f: &FrontierRecord) -> FrontierKey {
+    (f.experiment.clone(), f.protocol.clone(), f.backend.clone(), f.n)
+}
+
+/// Timeline cohorts: the trials of one `(experiment, protocol, backend, n)`
+/// cell.
+fn timeline_cohort(t: &TimelineRecord) -> TimelineCohort {
+    (t.experiment.clone(), t.protocol.clone(), t.backend.clone(), t.n)
+}
+
+/// Distinct trials among a cohort's timeline rows.
+fn trial_count(rows: &[&TimelineRecord]) -> u64 {
+    rows.iter().map(|r| r.trial).collect::<BTreeSet<_>>().len() as u64
+}
+
+/// Metrics groups: `(experiment, protocol, backend, n)`.
+fn metrics_key(m: &MetricsRecord) -> MetricsKey {
+    (m.experiment.clone(), m.protocol.clone(), m.backend.clone(), m.n)
+}
+
 fn report_one(path: &str, format: OutputFormat) -> Result<String, CliError> {
     let loaded = load(path)?;
-    let groups = group_records(&loaded.records);
-    let fault_groups = group_faults(&loaded.faults);
-    let frontier_groups = group_frontier(&loaded.frontier);
-    let timeline_groups = group_timelines(&loaded.timelines);
-    let metrics_groups = group_metrics(&loaded.metrics);
-    let churn_groups = group_churn(&loaded.churn);
-    let service_groups = group_services(&loaded.services);
-    let crash_groups = group_crashes(&loaded.crashes);
-    let health_groups = group_health(&loaded.health);
-    let server_stats_groups = group_server_stats(&loaded.server_stats);
-    let total = loaded.total();
+    let groups = loaded.group(trial_key);
+    let fault_groups = loaded.group(|f: &FaultRecord| {
+        (f.experiment.clone(), f.protocol.clone(), f.n, f.h, f.action.clone())
+    });
+    let frontier_groups = loaded.group(frontier_key);
+    let timeline_cohorts = loaded.group(timeline_cohort);
+    let metrics_groups = loaded.group(metrics_key);
+    let churn_groups = loaded.group(|c: &ChurnRecord| {
+        (
+            c.experiment.clone(),
+            c.protocol.clone(),
+            c.backend.clone(),
+            c.n,
+            c.h,
+            c.churn.clone(),
+            format!("{}", c.byzantine),
+        )
+    });
+    let service_groups = loaded.group(|s: &ServiceRecord| {
+        (s.experiment.clone(), s.protocol.clone(), s.backend.clone(), s.n, s.clients)
+    });
+    let crash_groups = loaded.group(|c: &CrashRecord| {
+        (c.experiment.clone(), c.protocol.clone(), c.backend.clone(), c.n, c.fsync.clone())
+    });
+    let health_groups = loaded.group(|h: &HealthRecord| {
+        (h.experiment.clone(), h.pop.clone(), h.protocol.clone(), h.backend.clone(), h.n)
+    });
+    let server_stats_groups =
+        loaded.group(|s: &ServerStatsRecord| (s.experiment.clone(), s.cmd.clone()));
+    let trace_groups = loaded.group(|t: &TraceRecord| t.cmd.clone());
+    let total = loaded.lines.len();
     match format {
         OutputFormat::Text => {
             let mut out = loaded.skipped_note();
@@ -313,8 +320,9 @@ fn report_one(path: &str, format: OutputFormat) -> Result<String, CliError> {
             out.push_str(&render_crash_text(&crash_groups));
             out.push_str(&render_health_text(&health_groups));
             out.push_str(&render_server_stats_text(&server_stats_groups));
-            out.push_str(&render_traces_text(&loaded.traces));
-            for ((experiment, protocol, backend, n), trials) in cohorts_of(&timeline_groups) {
+            out.push_str(&render_traces_text(&trace_groups));
+            for ((experiment, protocol, backend, n), rows) in &timeline_cohorts {
+                let trials = trial_count(rows);
                 out.push_str(&format!(
                     "\ntimelines: experiment={experiment} protocol={protocol} backend={backend} \
                      n={n}: {trials} trial(s) — render with `ssle report --timeline {path}`\n",
@@ -336,7 +344,7 @@ fn report_one(path: &str, format: OutputFormat) -> Result<String, CliError> {
             out.push_str(&render_crash_json(&crash_groups));
             out.push_str(&render_health_json(&health_groups));
             out.push_str(&render_server_stats_json(&server_stats_groups));
-            out.push_str(&render_traces_json(&loaded.traces));
+            out.push_str(&render_traces_json(&trace_groups));
             for (reason, count, first_line) in loaded.skipped_reasons() {
                 let mut obj = JsonObject::new();
                 obj.field_str("command", "report");
@@ -347,15 +355,15 @@ fn report_one(path: &str, format: OutputFormat) -> Result<String, CliError> {
                 out.push_str(&obj.finish());
                 out.push('\n');
             }
-            for ((experiment, protocol, backend, n), trials) in cohorts_of(&timeline_groups) {
+            for ((experiment, protocol, backend, n), rows) in &timeline_cohorts {
                 let mut obj = JsonObject::new();
                 obj.field_str("command", "report");
                 obj.field_str("kind", "timelines");
-                obj.field_str("experiment", &experiment);
-                obj.field_str("protocol", &protocol);
-                obj.field_str("backend", &backend);
-                obj.field_u64("n", n);
-                obj.field_u64("trials", trials);
+                obj.field_str("experiment", experiment);
+                obj.field_str("protocol", protocol);
+                obj.field_str("backend", backend);
+                obj.field_u64("n", *n);
+                obj.field_u64("trials", trial_count(rows));
                 out.push_str(&obj.finish());
                 out.push('\n');
             }
@@ -376,25 +384,13 @@ fn report_one(path: &str, format: OutputFormat) -> Result<String, CliError> {
     }
 }
 
-/// Collapses per-trial timeline groups into per-cohort trial counts.
-fn cohorts_of(
-    groups: &BTreeMap<TimelineKey, Vec<&TimelineRecord>>,
-) -> BTreeMap<TimelineCohort, u64> {
-    let mut cohorts: BTreeMap<TimelineCohort, u64> = BTreeMap::new();
-    for (experiment, protocol, backend, n, _) in groups.keys() {
-        *cohorts.entry((experiment.clone(), protocol.clone(), backend.clone(), *n)).or_default() +=
-            1;
-    }
-    cohorts
-}
-
 fn report_compare(path_a: &str, path_b: &str, format: OutputFormat) -> Result<String, CliError> {
     let a = load(path_a)?;
     let b = load(path_b)?;
-    let ga = group_records(&a.records);
-    let gb = group_records(&b.records);
-    let fa = group_frontier(&a.frontier);
-    let fb = group_frontier(&b.frontier);
+    let ga = a.group(trial_key);
+    let gb = b.group(trial_key);
+    let fa = a.group(frontier_key);
+    let fb = b.group(frontier_key);
     // Either trial streams or frontier throughput streams are comparable; a
     // side with neither (e.g. faults only) has nothing to line up against.
     for (path, g, f) in [(path_a, &ga, &fa), (path_b, &gb, &fb)] {
@@ -412,8 +408,8 @@ fn report_compare(path_a: &str, path_b: &str, format: OutputFormat) -> Result<St
             let mut out = format!(
                 "comparison: A = {path_a} ({} trial record(s)), B = {path_b} ({} trial record(s))\n\
                  speedup = E[time]_A / E[time]_B — above 1.00, B stabilized faster\n",
-                a.records.len(),
-                b.records.len(),
+                record_count(&ga),
+                record_count(&gb),
             );
             for key in keys {
                 let (experiment, protocol, n, h, scheduler) = key;
@@ -572,59 +568,12 @@ fn mean_of(group: Option<&Vec<&RunRecord>>) -> Option<(f64, u64)> {
     Some((t.mean, group.len() as u64))
 }
 
-fn group_records(records: &[RunRecord]) -> BTreeMap<GroupKey, Vec<&RunRecord>> {
-    let mut groups: BTreeMap<GroupKey, Vec<&RunRecord>> = BTreeMap::new();
-    for r in records {
-        let scheduler = r.scheduler.clone().unwrap_or_else(|| "uniform".to_string());
-        groups
-            .entry((r.experiment.clone(), r.protocol.clone(), r.n, r.h, scheduler))
-            .or_default()
-            .push(r);
-    }
-    groups
-}
-
-fn group_faults(faults: &[FaultRecord]) -> BTreeMap<FaultKey, Vec<&FaultRecord>> {
-    let mut groups: BTreeMap<FaultKey, Vec<&FaultRecord>> = BTreeMap::new();
-    for f in faults {
-        groups
-            .entry((f.experiment.clone(), f.protocol.clone(), f.n, f.h, f.action.clone()))
-            .or_default()
-            .push(f);
-    }
-    groups
-}
-
-fn group_frontier(frontier: &[FrontierRecord]) -> BTreeMap<FrontierKey, Vec<&FrontierRecord>> {
-    let mut groups: BTreeMap<FrontierKey, Vec<&FrontierRecord>> = BTreeMap::new();
-    for f in frontier {
-        groups
-            .entry((f.experiment.clone(), f.protocol.clone(), f.backend.clone(), f.n))
-            .or_default()
-            .push(f);
-    }
-    groups
-}
-
-/// Groups timeline rows by trial and sorts each trial's checkpoints by
-/// interaction count (streams written by different tools may interleave).
-fn group_timelines(timelines: &[TimelineRecord]) -> BTreeMap<TimelineKey, Vec<&TimelineRecord>> {
-    let mut groups: BTreeMap<TimelineKey, Vec<&TimelineRecord>> = BTreeMap::new();
-    for t in timelines {
-        groups
-            .entry((t.experiment.clone(), t.protocol.clone(), t.backend.clone(), t.n, t.trial))
-            .or_default()
-            .push(t);
-    }
-    for rows in groups.values_mut() {
-        rows.sort_by_key(|r| r.interactions);
-    }
-    groups
-}
-
 fn report_timeline(path: &str, format: OutputFormat) -> Result<String, CliError> {
     let loaded = load(path)?;
-    if loaded.timelines.is_empty() {
+    let mut trials = loaded.group(|t: &TimelineRecord| {
+        (t.experiment.clone(), t.protocol.clone(), t.backend.clone(), t.n, t.trial)
+    });
+    if trials.is_empty() {
         return Err(CliError::Report {
             path: path.to_string(),
             reason: "the file contains no timeline records; write one with \
@@ -632,13 +581,16 @@ fn report_timeline(path: &str, format: OutputFormat) -> Result<String, CliError>
                 .to_string(),
         });
     }
-    let trials = group_timelines(&loaded.timelines);
+    // Streams written by different tools may interleave a trial's rows.
+    for rows in trials.values_mut() {
+        rows.sort_by_key(|r| r.interactions);
+    }
     // Per cohort, each trial's leader count as a (parallel time, value)
     // step series — the input to the cross-trial median trajectory.
     let mut cohorts: BTreeMap<TimelineCohort, Vec<Vec<(f64, f64)>>> = BTreeMap::new();
-    for ((experiment, protocol, backend, n, _), rows) in &trials {
+    for rows in trials.values() {
         cohorts
-            .entry((experiment.clone(), protocol.clone(), backend.clone(), *n))
+            .entry(timeline_cohort(rows[0]))
             .or_default()
             .push(rows.iter().map(|r| (r.parallel_time(), r.leaders as f64)).collect());
     }
@@ -646,7 +598,7 @@ fn report_timeline(path: &str, format: OutputFormat) -> Result<String, CliError>
         OutputFormat::Text => {
             let mut out = format!(
                 "timeline report: {path} — {} checkpoint row(s), {} trial(s)\n",
-                loaded.timelines.len(),
+                record_count(&trials),
                 trials.len(),
             );
             for ((experiment, protocol, backend, n, trial), rows) in &trials {
@@ -756,25 +708,6 @@ fn report_timeline(path: &str, format: OutputFormat) -> Result<String, CliError>
 /// Grid resolution of the cross-trial median trajectory.
 const MEDIAN_GRID_POINTS: usize = 64;
 
-fn group_churn(churn: &[ChurnRecord]) -> BTreeMap<ChurnKey, Vec<&ChurnRecord>> {
-    let mut groups: BTreeMap<ChurnKey, Vec<&ChurnRecord>> = BTreeMap::new();
-    for c in churn {
-        groups
-            .entry((
-                c.experiment.clone(),
-                c.protocol.clone(),
-                c.backend.clone(),
-                c.n,
-                c.h,
-                c.churn.clone(),
-                format!("{}", c.byzantine),
-            ))
-            .or_default()
-            .push(c);
-    }
-    groups
-}
-
 /// Mean of an optional per-trial statistic, `None` when no trial carries it.
 fn mean_present(values: impl Iterator<Item = Option<f64>>) -> Option<f64> {
     let present: Vec<f64> = values.flatten().collect();
@@ -875,17 +808,6 @@ fn render_churn_json(groups: &BTreeMap<ChurnKey, Vec<&ChurnRecord>>) -> String {
     out
 }
 
-fn group_services(services: &[ServiceRecord]) -> BTreeMap<ServiceKey, Vec<&ServiceRecord>> {
-    let mut groups: BTreeMap<ServiceKey, Vec<&ServiceRecord>> = BTreeMap::new();
-    for s in services {
-        groups
-            .entry((s.experiment.clone(), s.protocol.clone(), s.backend.clone(), s.n, s.clients))
-            .or_default()
-            .push(s);
-    }
-    groups
-}
-
 fn render_service_text(groups: &BTreeMap<ServiceKey, Vec<&ServiceRecord>>) -> String {
     let mut out = String::new();
     for ((experiment, protocol, backend, n, clients), group) in groups {
@@ -927,23 +849,6 @@ fn render_service_json(groups: &BTreeMap<ServiceKey, Vec<&ServiceRecord>>) -> St
         out.push('\n');
     }
     out
-}
-
-fn group_crashes(crashes: &[CrashRecord]) -> BTreeMap<CrashKey, Vec<&CrashRecord>> {
-    let mut groups: BTreeMap<CrashKey, Vec<&CrashRecord>> = BTreeMap::new();
-    for c in crashes {
-        groups
-            .entry((
-                c.experiment.clone(),
-                c.protocol.clone(),
-                c.backend.clone(),
-                c.n,
-                c.fsync.clone(),
-            ))
-            .or_default()
-            .push(c);
-    }
-    groups
 }
 
 fn render_crash_text(groups: &BTreeMap<CrashKey, Vec<&CrashRecord>>) -> String {
@@ -991,23 +896,6 @@ fn render_crash_json(groups: &BTreeMap<CrashKey, Vec<&CrashRecord>>) -> String {
     out
 }
 
-fn group_health(health: &[HealthRecord]) -> BTreeMap<HealthKey, Vec<&HealthRecord>> {
-    let mut groups: BTreeMap<HealthKey, Vec<&HealthRecord>> = BTreeMap::new();
-    for h in health {
-        groups
-            .entry((
-                h.experiment.clone(),
-                h.pop.clone(),
-                h.protocol.clone(),
-                h.backend.clone(),
-                h.n,
-            ))
-            .or_default()
-            .push(h);
-    }
-    groups
-}
-
 fn render_health_text(groups: &BTreeMap<HealthKey, Vec<&HealthRecord>>) -> String {
     let mut out = String::new();
     for ((experiment, pop, protocol, backend, n), group) in groups {
@@ -1026,7 +914,7 @@ fn render_health_text(groups: &BTreeMap<HealthKey, Vec<&HealthRecord>>) -> Strin
             last.ranked,
             last.seq,
             last.lag,
-            last.fsync,
+            last.fsync.as_deref().unwrap_or("-"),
             last.quarantines,
         ));
     }
@@ -1051,22 +939,15 @@ fn render_health_json(groups: &BTreeMap<HealthKey, Vec<&HealthRecord>>) -> Strin
         obj.field_bool("ranked", last.ranked);
         obj.field_u64("seq", last.seq);
         obj.field_u64("lag", last.lag);
-        obj.field_str("fsync", &last.fsync);
+        match &last.fsync {
+            Some(policy) => obj.field_str("fsync", policy),
+            None => obj.field_null("fsync"),
+        };
         obj.field_u64("quarantines", last.quarantines);
         out.push_str(&obj.finish());
         out.push('\n');
     }
     out
-}
-
-fn group_server_stats(
-    rows: &[ServerStatsRecord],
-) -> BTreeMap<ServerStatsKey, Vec<&ServerStatsRecord>> {
-    let mut groups: BTreeMap<ServerStatsKey, Vec<&ServerStatsRecord>> = BTreeMap::new();
-    for s in rows {
-        groups.entry((s.experiment.clone(), s.cmd.clone())).or_default().push(s);
-    }
-    groups
 }
 
 fn render_server_stats_text(groups: &BTreeMap<ServerStatsKey, Vec<&ServerStatsRecord>>) -> String {
@@ -1135,15 +1016,12 @@ fn render_server_stats_json(groups: &BTreeMap<ServerStatsKey, Vec<&ServerStatsRe
 }
 
 /// Traces are individual requests, not windows: summarize by command.
-fn render_traces_text(traces: &[TraceRecord]) -> String {
-    if traces.is_empty() {
+fn render_traces_text(by_cmd: &BTreeMap<String, Vec<&TraceRecord>>) -> String {
+    if by_cmd.is_empty() {
         return String::new();
     }
-    let mut by_cmd: BTreeMap<&str, Vec<&TraceRecord>> = BTreeMap::new();
-    for t in traces {
-        by_cmd.entry(t.cmd.as_str()).or_default().push(t);
-    }
-    let mut out = format!("\ntraces: {} request(s) from the flight recorder\n", traces.len());
+    let mut out =
+        format!("\ntraces: {} request(s) from the flight recorder\n", record_count(by_cmd));
     for (cmd, group) in by_cmd {
         let n = group.len() as f64;
         let mean = group.iter().map(|t| t.total_us as f64).sum::<f64>() / n;
@@ -1165,14 +1043,7 @@ fn render_traces_text(traces: &[TraceRecord]) -> String {
     out
 }
 
-fn render_traces_json(traces: &[TraceRecord]) -> String {
-    if traces.is_empty() {
-        return String::new();
-    }
-    let mut by_cmd: BTreeMap<&str, Vec<&TraceRecord>> = BTreeMap::new();
-    for t in traces {
-        by_cmd.entry(t.cmd.as_str()).or_default().push(t);
-    }
+fn render_traces_json(by_cmd: &BTreeMap<String, Vec<&TraceRecord>>) -> String {
     let mut out = String::new();
     for (cmd, group) in by_cmd {
         let n = group.len() as f64;
@@ -1188,17 +1059,6 @@ fn render_traces_json(traces: &[TraceRecord]) -> String {
         out.push('\n');
     }
     out
-}
-
-fn group_metrics(metrics: &[MetricsRecord]) -> BTreeMap<MetricsKey, Vec<&MetricsRecord>> {
-    let mut groups: BTreeMap<MetricsKey, Vec<&MetricsRecord>> = BTreeMap::new();
-    for m in metrics {
-        groups
-            .entry((m.experiment.clone(), m.protocol.clone(), m.backend.clone(), m.n))
-            .or_default()
-            .push(m);
-    }
-    groups
 }
 
 /// Merges a group's encoded batch-size histograms into one bucket list,
@@ -1295,7 +1155,8 @@ impl MetricsTotals {
 
 fn report_metrics(path: &str, format: OutputFormat) -> Result<String, CliError> {
     let loaded = load(path)?;
-    if loaded.metrics.is_empty() {
+    let groups = loaded.group(metrics_key);
+    if groups.is_empty() {
         return Err(CliError::Report {
             path: path.to_string(),
             reason: "the file contains no metrics records; write one with \
@@ -1303,12 +1164,11 @@ fn report_metrics(path: &str, format: OutputFormat) -> Result<String, CliError> 
                 .to_string(),
         });
     }
-    let groups = group_metrics(&loaded.metrics);
     match format {
         OutputFormat::Text => {
             let mut out = format!(
                 "metrics report: {path} — {} row(s), {} group(s)\n",
-                loaded.metrics.len(),
+                record_count(&groups),
                 groups.len(),
             );
             for ((experiment, protocol, backend, n), group) in &groups {
@@ -2595,7 +2455,7 @@ mod tests {
             seq,
             snapshot_seq: seq - lag,
             lag,
-            fsync: "always".to_string(),
+            fsync: Some("always".to_string()),
             quarantines: 1,
         };
         let text = format!("{}\n{}\n", mk(10, 10).to_json(), mk(24, 2).to_json());

@@ -9,13 +9,13 @@ use population::timeline::DEFAULT_TIMELINE_CAPACITY;
 use population::{
     certify_ranking_closure, derive_seed, BatchSimulation, ByzantineSet, ChurnPlan,
     ClosureCertificate, Corruptor, DynamicBackend, DynamicsReport, Metrics, MetricsSink,
-    NoopMetrics, RankingProtocol, RecordLine, RunOutcome, SchedulerPolicy, Simulation, Timeline,
-    TimelineObserver,
+    NoopMetrics, Protocol, RankingProtocol, RecordLine, RunOutcome, SchedulerPolicy, Simulation,
+    Timeline, TimelineObserver,
 };
 use ssle::adversary;
 use ssle::cai_izumi_wada::{CaiIzumiWada, CiwState};
 use ssle::initialized::TreeRanking;
-use ssle::loose::LooselyStabilizingLe;
+use ssle::loose::{LooseState, LooselyStabilizingLe};
 use ssle::optimal_silent::{OptimalSilentSsr, OssState};
 use ssle::sublinear::SublinearTimeSsr;
 
@@ -154,6 +154,18 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         return dynamics_mode(&common, start, max_time, backend, &churn_spec, &churn, &byz, format);
     }
 
+    if metrics.is_some()
+        && backend == BackendChoice::Counts
+        && !robust.policy(common.n)?.is_uniform_complete()
+    {
+        return Err(CliError::BadValue {
+            flag: "metrics".into(),
+            reason: "the counts backend instruments the uniform complete scheduler only; \
+                     use --backend agents for non-uniform schedulers"
+                .into(),
+        });
+    }
+    let run = Run { common: &common, robust: &robust, certify, timeline, metrics, format };
     match common.protocol {
         ProtocolChoice::Ciw => {
             let p = CaiIzumiWada::new(common.n);
@@ -166,14 +178,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             };
             let budget =
                 budget(max_time, common.n, inflate(400 * (common.n as u64).pow(3), &robust));
-            match backend {
-                BackendChoice::Agents => ranked_report(
-                    &common, &robust, certify, timeline, metrics, p, initial, budget, format,
-                ),
-                BackendChoice::Counts => counts_ranked_report(
-                    &common, &robust, timeline, metrics, p, initial, budget, format,
-                ),
-            }
+            on_backend(&run, backend, Ranked { protocol: p, initial, budget })
         }
         ProtocolChoice::OptimalSilent => {
             let p = OptimalSilentSsr::new(common.n);
@@ -186,14 +191,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             };
             let budget =
                 budget(max_time, common.n, inflate(4000 * (common.n as u64).pow(2), &robust));
-            match backend {
-                BackendChoice::Agents => ranked_report(
-                    &common, &robust, certify, timeline, metrics, p, initial, budget, format,
-                ),
-                BackendChoice::Counts => counts_ranked_report(
-                    &common, &robust, timeline, metrics, p, initial, budget, format,
-                ),
-            }
+            on_backend(&run, backend, Ranked { protocol: p, initial, budget })
         }
         ProtocolChoice::Sublinear => {
             let p = SublinearTimeSsr::new(common.n, common.h);
@@ -207,7 +205,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             };
             let budget =
                 budget(max_time, common.n, inflate(4000 * (common.n as u64).pow(2), &robust));
-            ranked_report(&common, &robust, certify, timeline, metrics, p, initial, budget, format)
+            // Sublinear states are not hashable: agents only (checked above).
+            simulate::<_, Agents>(&run, Ranked { protocol: p, initial, budget })
         }
         ProtocolChoice::TreeRanking => {
             let p = TreeRanking::new(common.n);
@@ -215,17 +214,18 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let initial = p.designated_configuration();
             let budget =
                 budget(max_time, common.n, inflate(4000 * (common.n as u64).pow(2), &robust));
-            match backend {
-                BackendChoice::Agents => ranked_report(
-                    &common, &robust, certify, timeline, metrics, p, initial, budget, format,
-                ),
-                BackendChoice::Counts => counts_ranked_report(
-                    &common, &robust, timeline, metrics, p, initial, budget, format,
-                ),
-            }
+            on_backend(&run, backend, Ranked { protocol: p, initial, budget })
         }
         ProtocolChoice::Loose => {
-            loose_report(&common, &robust, start, max_time, backend, metrics, format)
+            let n = common.n;
+            let t_max = 8 * (n as f64).log2().ceil() as u32;
+            let p = LooselyStabilizingLe::new(t_max);
+            let initial = match start {
+                Start::Collision => vec![p.leader_state(); n],
+                Start::Random | Start::Ranked => vec![p.follower_state(1); n],
+            };
+            let budget = budget(max_time, n, inflate(4000 * (n as u64).pow(2), &robust));
+            on_backend(&run, backend, Loose { protocol: p, initial, t_max, budget })
         }
     }
 }
@@ -485,278 +485,223 @@ fn write_metrics(
         .map_err(|e| CliError::Report { path: path.into(), reason: e.to_string() })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn ranked_report<P: RankingProtocol>(
-    common: &CommonFlags,
-    robust: &RobustnessFlags,
+/// The flags one execution runs under, shared by every report.
+struct Run<'a> {
+    common: &'a CommonFlags,
+    robust: &'a RobustnessFlags,
     certify: f64,
-    timeline: Option<&str>,
-    metrics: Option<&str>,
+    timeline: Option<&'a str>,
+    metrics: Option<&'a str>,
+    format: OutputFormat,
+}
+
+/// A ranking protocol run from `initial` to a stable ranking within
+/// `budget` interactions.
+struct Ranked<P: Protocol> {
     protocol: P,
     initial: Vec<P::State>,
     budget: u64,
-    format: OutputFormat,
-) -> Result<String, CliError> {
-    match metrics {
-        None => ranked_report_sink(
-            common,
-            robust,
-            certify,
-            timeline,
-            NoopMetrics,
-            protocol,
-            initial,
-            budget,
-            format,
-        ),
-        Some(path) => {
-            let mut collected = Metrics::new();
-            let started = Instant::now();
-            let result = ranked_report_sink(
-                common,
-                robust,
-                certify,
-                timeline,
-                &mut collected,
-                protocol,
-                initial,
-                budget,
-                format,
-            );
-            // Metrics are written even when the run exhausts its budget —
-            // profiling a non-converging run is exactly what they are for.
-            write_metrics(path, &collected, common, "agents", started.elapsed().as_secs_f64())?;
-            result
-        }
+}
+
+/// Loose leader election run from `initial` to a unique leader within
+/// `budget` interactions.
+struct Loose {
+    protocol: LooselyStabilizingLe,
+    initial: Vec<LooseState>,
+    t_max: u32,
+    budget: u64,
+}
+
+/// A simulation backend `simulate` can run on.
+trait Backend {
+    /// Backend name in reports, timeline rows and metrics rows.
+    const NAME: &'static str;
+}
+
+/// A backend that runs job `J` (a [`Ranked`] or [`Loose`] run). Each
+/// report is written once per backend, generic over the metrics sink, so
+/// [`simulate`] attaches `--metrics` to all of them.
+trait SimBackend<J>: Backend {
+    /// Runs `job` with `sink` attached and renders its report.
+    fn report<M: MetricsSink>(run: &Run<'_>, job: J, sink: M) -> Result<String, CliError>;
+}
+
+/// The agent array: agents have identities, and any scheduler runs.
+struct Agents;
+
+impl Backend for Agents {
+    const NAME: &'static str = "agents";
+}
+
+/// The count-based backend: agents are anonymous in a multiset, so its
+/// reports carry counts and the final support instead of agent indices.
+struct Counts;
+
+impl Backend for Counts {
+    const NAME: &'static str = "counts";
+}
+
+/// Runs `job` on the chosen backend.
+fn on_backend<J>(run: &Run<'_>, backend: BackendChoice, job: J) -> Result<String, CliError>
+where
+    Agents: SimBackend<J>,
+    Counts: SimBackend<J>,
+{
+    match backend {
+        BackendChoice::Agents => simulate::<J, Agents>(run, job),
+        BackendChoice::Counts => simulate::<J, Counts>(run, job),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn ranked_report_sink<P: RankingProtocol, M: MetricsSink>(
-    common: &CommonFlags,
-    robust: &RobustnessFlags,
-    certify: f64,
-    timeline: Option<&str>,
-    metrics: M,
-    protocol: P,
-    initial: Vec<P::State>,
-    budget: u64,
-    format: OutputFormat,
-) -> Result<String, CliError> {
-    let n = common.n;
-    let policy = robust.policy(n)?;
-    let spec = policy.spec();
-    let mut sim = Simulation::with_policy(protocol, initial, policy, common.seed)
-        .with_reliability(robust.reliability())
-        .with_metrics(metrics);
-    // The timeline is written even when the run exhausts its budget — a
-    // non-converging trajectory is exactly what one wants to inspect.
-    let outcome = match timeline {
-        Some(path) => {
-            let mut tl = TimelineObserver::new(DEFAULT_TIMELINE_CAPACITY);
-            let outcome = sim.run_until_stably_ranked_timeline(budget, 4 * n as u64, &mut tl);
-            write_timeline(path, tl.finish(n as u64), common, "agents")?;
-            outcome
-        }
-        None => sim.run_until_stably_ranked(budget, 4 * n as u64),
+/// Runs `job` on backend `B`, collecting engine metrics when `--metrics`
+/// asks for them. The metrics row is written even when the run exhausts
+/// its budget — profiling a non-converging run is exactly what metrics are
+/// for.
+fn simulate<J, B: SimBackend<J>>(run: &Run<'_>, job: J) -> Result<String, CliError> {
+    let Some(path) = run.metrics else {
+        return B::report(run, job, NoopMetrics);
     };
-    match outcome {
-        RunOutcome::Converged { interactions } => {
-            let cert = if certify > 0.0 {
-                // Already stably ranked, so re-confirmation inside the
-                // certifier is cheap; the doubled cap only guards against a
-                // protocol whose ranking does not actually close.
-                match certify_ranking_closure(
-                    &mut sim,
-                    budget.saturating_mul(2),
-                    4 * n as u64,
-                    certify,
-                    4 * n as u64,
-                ) {
-                    Ok(c) => Some(c),
-                    Err(RunOutcome::Exhausted { interactions }) => {
-                        return Err(CliError::DidNotConverge { interactions })
-                    }
-                    Err(RunOutcome::Converged { .. }) => {
-                        unreachable!("certifier only fails by exhaustion")
-                    }
+    let mut collected = Metrics::new();
+    let started = Instant::now();
+    let result = B::report(run, job, &mut collected);
+    write_metrics(path, &collected, run.common, B::NAME, started.elapsed().as_secs_f64())?;
+    result
+}
+
+impl<P: RankingProtocol> SimBackend<Ranked<P>> for Agents {
+    fn report<M: MetricsSink>(run: &Run<'_>, job: Ranked<P>, sink: M) -> Result<String, CliError> {
+        let (common, robust, budget) = (run.common, run.robust, job.budget);
+        let n = common.n;
+        let policy = robust.policy(n)?;
+        let spec = policy.spec();
+        let mut sim = Simulation::with_policy(job.protocol, job.initial, policy, common.seed)
+            .with_reliability(robust.reliability())
+            .with_metrics(sink);
+        // The timeline is written even when the run exhausts its budget — a
+        // non-converging trajectory is exactly what one wants to inspect.
+        let outcome = match run.timeline {
+            Some(path) => {
+                let mut tl = TimelineObserver::new(DEFAULT_TIMELINE_CAPACITY);
+                let outcome = sim.run_until_stably_ranked_timeline(budget, 4 * n as u64, &mut tl);
+                write_timeline(path, tl.finish(n as u64), common, Self::NAME)?;
+                outcome
+            }
+            None => sim.run_until_stably_ranked(budget, 4 * n as u64),
+        };
+        let RunOutcome::Converged { interactions } = outcome else {
+            return Err(CliError::DidNotConverge { interactions: outcome.interactions() });
+        };
+        let cert = if run.certify > 0.0 {
+            // Already stably ranked, so re-confirmation inside the certifier
+            // is cheap; the doubled cap only guards against a protocol whose
+            // ranking does not actually close.
+            match certify_ranking_closure(
+                &mut sim,
+                budget.saturating_mul(2),
+                4 * n as u64,
+                run.certify,
+                4 * n as u64,
+            ) {
+                Ok(c) => Some(c),
+                Err(RunOutcome::Exhausted { interactions }) => {
+                    return Err(CliError::DidNotConverge { interactions })
                 }
-            } else {
-                None
-            };
-            let leader = sim
-                .states()
-                .iter()
-                .position(|s| sim.protocol().is_leader(s))
-                .expect("a ranked configuration has a leader");
-            let mut ranking: Vec<(usize, usize)> = sim
-                .states()
-                .iter()
-                .enumerate()
-                .filter_map(|(agent, s)| sim.protocol().rank_of(s).map(|r| (r, agent)))
-                .collect();
-            ranking.sort_unstable();
-            match format {
-                OutputFormat::Text => {
-                    let ranks = ranking
-                        .iter()
-                        .map(|(r, a)| format!("{r}→{a}"))
-                        .collect::<Vec<_>>()
-                        .join(" ");
-                    Ok(format!(
-                        "{name}: stabilized after {t:.1} parallel time ({interactions} interactions)\n\
-                         {robustness}leader: agent {leader}\nranking (rank→agent): {ranks}\n{cert}",
-                        name = common.protocol.name(),
-                        t = interactions as f64 / n as f64,
-                        robustness = robustness_text(robust, &spec),
-                        cert = cert.as_ref().map(certificate_text).unwrap_or_default(),
-                    ))
-                }
-                OutputFormat::Json => {
-                    // Agent ids indexed by rank − 1.
-                    let agents =
-                        ranking.iter().map(|(_, a)| a.to_string()).collect::<Vec<_>>().join(",");
-                    let mut obj = JsonObject::new();
-                    obj.field_str("command", "simulate");
-                    obj.field_str("protocol", common.protocol.name());
-                    obj.field_u64("n", n as u64);
-                    obj.field_u64("seed", common.seed);
-                    robustness_json(&mut obj, robust, &spec);
-                    obj.field_str("outcome", "converged");
-                    obj.field_u64("interactions", interactions);
-                    obj.field_f64("parallel_time", interactions as f64 / n as f64);
-                    obj.field_u64("leader", leader as u64);
-                    obj.field_raw("ranking", &format!("[{agents}]"));
-                    if let Some(c) = &cert {
-                        obj.field_raw(
-                            "certificate_holds",
-                            if c.holds() { "true" } else { "false" },
-                        );
-                        obj.field_u64("certificate_window", c.window);
-                    }
-                    Ok(obj.finish() + "\n")
+                Err(RunOutcome::Converged { .. }) => {
+                    unreachable!("certifier only fails by exhaustion")
                 }
             }
-        }
-        RunOutcome::Exhausted { interactions } => Err(CliError::DidNotConverge { interactions }),
-    }
-}
-
-/// Renders a closure certificate as a report line.
-fn certificate_text(cert: &ClosureCertificate) -> String {
-    match &cert.violation {
-        None => format!(
-            "closure certificate: holds — no output changed over {} interactions under {}\n",
-            cert.window, cert.scheduler,
-        ),
-        Some(v) => format!(
-            "closure certificate: VIOLATED — agent {} changed output at interaction {}\n",
-            v.agent, v.at,
-        ),
-    }
-}
-
-/// [`ranked_report`] on the count-based backend: agents are anonymous in a
-/// multiset, so the report carries the leader count and the final support
-/// instead of a rank→agent table.
-#[allow(clippy::too_many_arguments)]
-fn counts_ranked_report<P>(
-    common: &CommonFlags,
-    robust: &RobustnessFlags,
-    timeline: Option<&str>,
-    metrics: Option<&str>,
-    protocol: P,
-    initial: Vec<P::State>,
-    budget: u64,
-    format: OutputFormat,
-) -> Result<String, CliError>
-where
-    P: RankingProtocol,
-    P::State: Eq + Hash,
-{
-    if metrics.is_some() && !robust.policy(common.n)?.is_uniform_complete() {
-        return Err(CliError::BadValue {
-            flag: "metrics".into(),
-            reason: "the counts backend instruments the uniform complete scheduler only; \
-                     use --backend agents for non-uniform schedulers"
-                .into(),
-        });
-    }
-    match metrics {
-        None => counts_ranked_report_sink(
-            common,
-            robust,
-            timeline,
-            NoopMetrics,
-            protocol,
-            initial,
-            budget,
-            format,
-        ),
-        Some(path) => {
-            let mut collected = Metrics::new();
-            let started = Instant::now();
-            let result = counts_ranked_report_sink(
-                common,
-                robust,
-                timeline,
-                &mut collected,
-                protocol,
-                initial,
-                budget,
-                format,
-            );
-            write_metrics(path, &collected, common, "counts", started.elapsed().as_secs_f64())?;
-            result
+        } else {
+            None
+        };
+        let leader = sim
+            .states()
+            .iter()
+            .position(|s| sim.protocol().is_leader(s))
+            .expect("a ranked configuration has a leader");
+        let mut ranking: Vec<(usize, usize)> = sim
+            .states()
+            .iter()
+            .enumerate()
+            .filter_map(|(agent, s)| sim.protocol().rank_of(s).map(|r| (r, agent)))
+            .collect();
+        ranking.sort_unstable();
+        match run.format {
+            OutputFormat::Text => {
+                let ranks =
+                    ranking.iter().map(|(r, a)| format!("{r}→{a}")).collect::<Vec<_>>().join(" ");
+                Ok(format!(
+                    "{name}: stabilized after {t:.1} parallel time ({interactions} interactions)\n\
+                     {robustness}leader: agent {leader}\nranking (rank→agent): {ranks}\n{cert}",
+                    name = common.protocol.name(),
+                    t = interactions as f64 / n as f64,
+                    robustness = robustness_text(robust, &spec),
+                    cert = cert.as_ref().map(certificate_text).unwrap_or_default(),
+                ))
+            }
+            OutputFormat::Json => {
+                // Agent ids indexed by rank − 1.
+                let agents =
+                    ranking.iter().map(|(_, a)| a.to_string()).collect::<Vec<_>>().join(",");
+                let mut obj = JsonObject::new();
+                obj.field_str("command", "simulate");
+                obj.field_str("protocol", common.protocol.name());
+                obj.field_u64("n", n as u64);
+                obj.field_u64("seed", common.seed);
+                robustness_json(&mut obj, robust, &spec);
+                obj.field_str("outcome", "converged");
+                obj.field_u64("interactions", interactions);
+                obj.field_f64("parallel_time", interactions as f64 / n as f64);
+                obj.field_u64("leader", leader as u64);
+                obj.field_raw("ranking", &format!("[{agents}]"));
+                if let Some(c) = &cert {
+                    obj.field_raw("certificate_holds", if c.holds() { "true" } else { "false" });
+                    obj.field_u64("certificate_window", c.window);
+                }
+                Ok(obj.finish() + "\n")
+            }
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn counts_ranked_report_sink<P, M>(
-    common: &CommonFlags,
-    robust: &RobustnessFlags,
-    timeline: Option<&str>,
-    metrics: M,
-    protocol: P,
-    initial: Vec<P::State>,
-    budget: u64,
-    format: OutputFormat,
-) -> Result<String, CliError>
+impl<P> SimBackend<Ranked<P>> for Counts
 where
     P: RankingProtocol,
     P::State: Eq + Hash,
-    M: MetricsSink,
 {
-    let n = common.n;
-    let policy = robust.policy(n)?;
-    let spec = policy.spec();
-    if timeline.is_some() && !policy.is_uniform_complete() {
-        return Err(CliError::BadValue {
-            flag: "timeline".into(),
-            reason: "the counts backend records timelines on the uniform complete scheduler \
-                     only; use --backend agents for non-uniform schedulers"
-                .into(),
-        });
-    }
-    let mut sim = BatchSimulation::new(protocol, initial, common.seed)
-        .with_reliability(robust.reliability())
-        .with_metrics(metrics);
-    // The uniform-complete fast path keeps the lumped batched loop (omission
-    // is thinned exactly inside batches); any other policy needs agent
-    // identities, so the backend falls back to exact per-interaction draws.
-    let outcome = if let Some(path) = timeline {
-        let mut tl = TimelineObserver::new(DEFAULT_TIMELINE_CAPACITY);
-        let outcome = sim.run_until_stably_ranked_timeline(budget, 4 * n as u64, &mut tl);
-        write_timeline(path, tl.finish(n as u64), common, "counts")?;
-        outcome
-    } else if policy.is_uniform_complete() {
-        sim.run_until_stably_ranked(budget, 4 * n as u64)
-    } else {
-        sim.run_until_stably_ranked_scheduled(&policy, budget, 4 * n as u64)
-    };
-    match outcome {
-        RunOutcome::Converged { interactions } => match format {
+    fn report<M: MetricsSink>(run: &Run<'_>, job: Ranked<P>, sink: M) -> Result<String, CliError> {
+        let (common, robust, budget) = (run.common, run.robust, job.budget);
+        let n = common.n;
+        let policy = robust.policy(n)?;
+        let spec = policy.spec();
+        if run.timeline.is_some() && !policy.is_uniform_complete() {
+            return Err(CliError::BadValue {
+                flag: "timeline".into(),
+                reason: "the counts backend records timelines on the uniform complete scheduler \
+                         only; use --backend agents for non-uniform schedulers"
+                    .into(),
+            });
+        }
+        let mut sim = BatchSimulation::new(job.protocol, job.initial, common.seed)
+            .with_reliability(robust.reliability())
+            .with_metrics(sink);
+        // The uniform-complete fast path keeps the lumped batched loop
+        // (omission is thinned exactly inside batches); any other policy
+        // needs agent identities, so the backend falls back to exact
+        // per-interaction draws.
+        let outcome = if let Some(path) = run.timeline {
+            let mut tl = TimelineObserver::new(DEFAULT_TIMELINE_CAPACITY);
+            let outcome = sim.run_until_stably_ranked_timeline(budget, 4 * n as u64, &mut tl);
+            write_timeline(path, tl.finish(n as u64), common, Self::NAME)?;
+            outcome
+        } else if policy.is_uniform_complete() {
+            sim.run_until_stably_ranked(budget, 4 * n as u64)
+        } else {
+            sim.run_until_stably_ranked_scheduled(&policy, budget, 4 * n as u64)
+        };
+        let RunOutcome::Converged { interactions } = outcome else {
+            return Err(CliError::DidNotConverge { interactions: outcome.interactions() });
+        };
+        match run.format {
             OutputFormat::Text => Ok(format!(
                 "{name}: stabilized after {t:.1} parallel time ({interactions} interactions)\n\
                  {robustness}backend: counts — agents are anonymous; leaders: {leaders}, \
@@ -771,7 +716,7 @@ where
                 let mut obj = JsonObject::new();
                 obj.field_str("command", "simulate");
                 obj.field_str("protocol", common.protocol.name());
-                obj.field_str("backend", "counts");
+                obj.field_str("backend", Self::NAME);
                 obj.field_u64("n", n as u64);
                 obj.field_u64("seed", common.seed);
                 robustness_json(&mut obj, robust, &spec);
@@ -782,160 +727,81 @@ where
                 obj.field_u64("support", sim.counts().support() as u64);
                 Ok(obj.finish() + "\n")
             }
-        },
-        RunOutcome::Exhausted { interactions } => Err(CliError::DidNotConverge { interactions }),
-    }
-}
-
-fn loose_report(
-    common: &CommonFlags,
-    robust: &RobustnessFlags,
-    start: Start,
-    max_time: f64,
-    backend: BackendChoice,
-    metrics: Option<&str>,
-    format: OutputFormat,
-) -> Result<String, CliError> {
-    let n = common.n;
-    let t_max = 8 * (n as f64).log2().ceil() as u32;
-    let p = LooselyStabilizingLe::new(t_max);
-    let initial = match start {
-        Start::Collision => vec![p.leader_state(); n],
-        Start::Random | Start::Ranked => vec![p.follower_state(1); n],
-    };
-    let max = budget(max_time, n, inflate(4000 * (n as u64).pow(2), robust));
-    if backend == BackendChoice::Counts {
-        return loose_counts_report(common, robust, metrics, p, initial, t_max, max, format);
-    }
-    match metrics {
-        None => loose_agents_sink(common, robust, NoopMetrics, p, initial, t_max, max, format),
-        Some(path) => {
-            let mut collected = Metrics::new();
-            let started = Instant::now();
-            let result =
-                loose_agents_sink(common, robust, &mut collected, p, initial, t_max, max, format);
-            write_metrics(path, &collected, common, "agents", started.elapsed().as_secs_f64())?;
-            result
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn loose_agents_sink<M: MetricsSink>(
-    common: &CommonFlags,
-    robust: &RobustnessFlags,
-    metrics: M,
-    p: LooselyStabilizingLe,
-    initial: Vec<ssle::loose::LooseState>,
-    t_max: u32,
-    max: u64,
-    format: OutputFormat,
-) -> Result<String, CliError> {
-    let n = common.n;
-    let policy = robust.policy(n)?;
-    let spec = policy.spec();
-    let mut sim = Simulation::with_policy(p, initial, policy, common.seed)
-        .with_reliability(robust.reliability())
-        .with_metrics(metrics);
-    let outcome = sim.run_until(max, |s| LooselyStabilizingLe::leader_count(s) == 1);
-    match outcome {
-        RunOutcome::Converged { interactions } => {
-            let leader = sim.states().iter().position(|s| s.leader).expect("one leader");
-            match format {
-                OutputFormat::Text => Ok(format!(
-                    "{name} (T_max = {t_max}): unique leader after {t:.1} parallel time — agent {leader}\n\
-                     {robustness}(loose stabilization: the leader is held for a long but finite time)\n",
-                    name = common.protocol.name(),
-                    t = interactions as f64 / n as f64,
-                    robustness = robustness_text(robust, &spec),
-                )),
-                OutputFormat::Json => {
-                    let mut obj = JsonObject::new();
-                    obj.field_str("command", "simulate");
-                    obj.field_str("protocol", common.protocol.name());
-                    obj.field_u64("n", n as u64);
-                    obj.field_u64("seed", common.seed);
-                    robustness_json(&mut obj, robust, &spec);
-                    obj.field_u64("t_max", t_max as u64);
-                    obj.field_str("outcome", "converged");
-                    obj.field_u64("interactions", interactions);
-                    obj.field_f64("parallel_time", interactions as f64 / n as f64);
-                    obj.field_u64("leader", leader as u64);
-                    Ok(obj.finish() + "\n")
-                }
+impl SimBackend<Loose> for Agents {
+    fn report<M: MetricsSink>(run: &Run<'_>, job: Loose, sink: M) -> Result<String, CliError> {
+        let (common, robust) = (run.common, run.robust);
+        let n = common.n;
+        let policy = robust.policy(n)?;
+        let spec = policy.spec();
+        let mut sim = Simulation::with_policy(job.protocol, job.initial, policy, common.seed)
+            .with_reliability(robust.reliability())
+            .with_metrics(sink);
+        let outcome = sim.run_until(job.budget, |s| LooselyStabilizingLe::leader_count(s) == 1);
+        let RunOutcome::Converged { interactions } = outcome else {
+            return Err(CliError::DidNotConverge { interactions: outcome.interactions() });
+        };
+        let leader = sim.states().iter().position(|s| s.leader).expect("one leader");
+        match run.format {
+            OutputFormat::Text => Ok(format!(
+                "{name} (T_max = {t_max}): unique leader after {t:.1} parallel time — agent {leader}\n\
+                 {robustness}(loose stabilization: the leader is held for a long but finite time)\n",
+                name = common.protocol.name(),
+                t_max = job.t_max,
+                t = interactions as f64 / n as f64,
+                robustness = robustness_text(robust, &spec),
+            )),
+            OutputFormat::Json => {
+                let mut obj = JsonObject::new();
+                obj.field_str("command", "simulate");
+                obj.field_str("protocol", common.protocol.name());
+                obj.field_u64("n", n as u64);
+                obj.field_u64("seed", common.seed);
+                robustness_json(&mut obj, robust, &spec);
+                obj.field_u64("t_max", job.t_max as u64);
+                obj.field_str("outcome", "converged");
+                obj.field_u64("interactions", interactions);
+                obj.field_f64("parallel_time", interactions as f64 / n as f64);
+                obj.field_u64("leader", leader as u64);
+                Ok(obj.finish() + "\n")
             }
         }
-        RunOutcome::Exhausted { interactions } => Err(CliError::DidNotConverge { interactions }),
     }
 }
 
-/// Loose leader election on the count-based backend: converges when the
-/// leader-state count across the multiset reaches one.
-#[allow(clippy::too_many_arguments)]
-fn loose_counts_report(
-    common: &CommonFlags,
-    robust: &RobustnessFlags,
-    metrics: Option<&str>,
-    p: LooselyStabilizingLe,
-    initial: Vec<ssle::loose::LooseState>,
-    t_max: u32,
-    max: u64,
-    format: OutputFormat,
-) -> Result<String, CliError> {
-    if metrics.is_some() && !robust.policy(common.n)?.is_uniform_complete() {
-        return Err(CliError::BadValue {
-            flag: "metrics".into(),
-            reason: "the counts backend instruments the uniform complete scheduler only; \
-                     use --backend agents for non-uniform schedulers"
-                .into(),
-        });
-    }
-    match metrics {
-        None => loose_counts_sink(common, robust, NoopMetrics, p, initial, t_max, max, format),
-        Some(path) => {
-            let mut collected = Metrics::new();
-            let started = Instant::now();
-            let result =
-                loose_counts_sink(common, robust, &mut collected, p, initial, t_max, max, format);
-            write_metrics(path, &collected, common, "counts", started.elapsed().as_secs_f64())?;
-            result
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn loose_counts_sink<M: MetricsSink>(
-    common: &CommonFlags,
-    robust: &RobustnessFlags,
-    metrics: M,
-    p: LooselyStabilizingLe,
-    initial: Vec<ssle::loose::LooseState>,
-    t_max: u32,
-    max: u64,
-    format: OutputFormat,
-) -> Result<String, CliError> {
-    let n = common.n;
-    let policy = robust.policy(n)?;
-    let spec = policy.spec();
-    let mut sim = BatchSimulation::new(p, initial, common.seed)
-        .with_reliability(robust.reliability())
-        .with_metrics(metrics);
-    let outcome = if policy.is_uniform_complete() {
-        sim.run_until(max, |counts| {
-            counts.iter().filter(|(s, _)| s.leader).map(|(_, c)| c).sum::<u64>() == 1
-        })
-    } else {
-        sim.run_until_scheduled(&policy, max, |_, states| {
-            states.iter().filter(|s| s.leader).count() == 1
-        })
-    };
-    match outcome {
-        RunOutcome::Converged { interactions } => match format {
+impl SimBackend<Loose> for Counts {
+    /// Converges when the leader-state count across the multiset reaches
+    /// one.
+    fn report<M: MetricsSink>(run: &Run<'_>, job: Loose, sink: M) -> Result<String, CliError> {
+        let (common, robust) = (run.common, run.robust);
+        let n = common.n;
+        let policy = robust.policy(n)?;
+        let spec = policy.spec();
+        let mut sim = BatchSimulation::new(job.protocol, job.initial, common.seed)
+            .with_reliability(robust.reliability())
+            .with_metrics(sink);
+        let outcome = if policy.is_uniform_complete() {
+            sim.run_until(job.budget, |counts| {
+                counts.iter().filter(|(s, _)| s.leader).map(|(_, c)| c).sum::<u64>() == 1
+            })
+        } else {
+            sim.run_until_scheduled(&policy, job.budget, |_, states| {
+                states.iter().filter(|s| s.leader).count() == 1
+            })
+        };
+        let RunOutcome::Converged { interactions } = outcome else {
+            return Err(CliError::DidNotConverge { interactions: outcome.interactions() });
+        };
+        match run.format {
             OutputFormat::Text => Ok(format!(
                 "{name} (T_max = {t_max}): unique leader after {t:.1} parallel time\n\
                  {robustness}backend: counts — agents are anonymous; support: {support} distinct state(s)\n\
                  (loose stabilization: the leader is held for a long but finite time)\n",
                 name = common.protocol.name(),
+                t_max = job.t_max,
                 t = interactions as f64 / n as f64,
                 robustness = robustness_text(robust, &spec),
                 support = sim.counts().support(),
@@ -944,19 +810,32 @@ fn loose_counts_sink<M: MetricsSink>(
                 let mut obj = JsonObject::new();
                 obj.field_str("command", "simulate");
                 obj.field_str("protocol", common.protocol.name());
-                obj.field_str("backend", "counts");
+                obj.field_str("backend", Self::NAME);
                 obj.field_u64("n", n as u64);
                 obj.field_u64("seed", common.seed);
                 robustness_json(&mut obj, robust, &spec);
-                obj.field_u64("t_max", t_max as u64);
+                obj.field_u64("t_max", job.t_max as u64);
                 obj.field_str("outcome", "converged");
                 obj.field_u64("interactions", interactions);
                 obj.field_f64("parallel_time", interactions as f64 / n as f64);
                 obj.field_u64("support", sim.counts().support() as u64);
                 Ok(obj.finish() + "\n")
             }
-        },
-        RunOutcome::Exhausted { interactions } => Err(CliError::DidNotConverge { interactions }),
+        }
+    }
+}
+
+/// Renders a closure certificate as a report line.
+fn certificate_text(cert: &ClosureCertificate) -> String {
+    match &cert.violation {
+        None => format!(
+            "closure certificate: holds — no output changed over {} interactions under {}\n",
+            cert.window, cert.scheduler,
+        ),
+        Some(v) => format!(
+            "closure certificate: VIOLATED — agent {} changed output at interaction {}\n",
+            v.agent, v.at,
+        ),
     }
 }
 

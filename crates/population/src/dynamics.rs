@@ -759,23 +759,7 @@ impl DynamicsTrialOutcome {
         h: Option<u64>,
         base_seed: u64,
     ) -> Vec<FaultRecord> {
-        self.report
-            .chaos
-            .faults
-            .iter()
-            .map(|f| FaultRecord {
-                experiment: experiment.to_string(),
-                protocol: protocol.to_string(),
-                n: self.n as u64,
-                h,
-                trial: self.trial,
-                seed: base_seed,
-                action: f.action.to_string(),
-                agents: f.agents as u64,
-                injected_at: f.at,
-                recovered_at: f.recovered_at,
-            })
-            .collect()
+        self.report.chaos.fault_records(experiment, protocol, self.n, h, self.trial, base_seed)
     }
 }
 

@@ -711,6 +711,34 @@ pub struct ChaosReport {
 }
 
 impl ChaosReport {
+    /// One `kind = "fault"` record per fired fault, in firing order, for
+    /// trial `trial` of an `n`-agent experiment.
+    pub(crate) fn fault_records(
+        &self,
+        experiment: &str,
+        protocol: &str,
+        n: usize,
+        h: Option<u64>,
+        trial: u64,
+        base_seed: u64,
+    ) -> Vec<FaultRecord> {
+        self.faults
+            .iter()
+            .map(|f| FaultRecord {
+                experiment: experiment.to_string(),
+                protocol: protocol.to_string(),
+                n: n as u64,
+                h,
+                trial,
+                seed: base_seed,
+                action: f.action.to_string(),
+                agents: f.agents as u64,
+                injected_at: f.at,
+                recovered_at: f.recovered_at,
+            })
+            .collect()
+    }
+
     /// Fraction of observed interactions with a unique leader (rank 1 held
     /// by exactly one agent) — the availability number soak runs report.
     /// Vacuously 1.0 if nothing was observed.
@@ -943,22 +971,7 @@ impl ChaosTrialOutcome {
         h: Option<u64>,
         base_seed: u64,
     ) -> Vec<FaultRecord> {
-        self.report
-            .faults
-            .iter()
-            .map(|f| FaultRecord {
-                experiment: experiment.to_string(),
-                protocol: protocol.to_string(),
-                n: self.n as u64,
-                h,
-                trial: self.trial,
-                seed: base_seed,
-                action: f.action.to_string(),
-                agents: f.agents as u64,
-                injected_at: f.at,
-                recovered_at: f.recovered_at,
-            })
-            .collect()
+        self.report.fault_records(experiment, protocol, self.n, h, self.trial, base_seed)
     }
 }
 

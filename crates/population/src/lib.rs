@@ -39,7 +39,7 @@
 //! | [`telemetry`] | counters, fixed-bucket histograms, throughput meters, [`TelemetryObserver`] |
 //! | [`metrics`] | engine telemetry: the zero-cost [`MetricsSink`] seam both backends flush at batch boundaries — batch sizes, exact-fallback/memo rates, compactions, per-section wall time |
 //! | [`timeline`] | within-run trajectory tracing: decimated [`timeline::TimelineObserver`] checkpoints and the [`timeline::Progress`] heartbeat |
-//! | [`record`] | versioned per-trial [`RunRecord`]s and their JSONL encoding |
+//! | [`record`] | versioned experiment records ([`RunRecord`] and ten more kinds), each declared once, and their JSONL encoding |
 //! | [`epidemic`] | one-way/two-way epidemic, bounded epidemic, and roll-call processes |
 //! | [`silence`] | structural silence checking for silent protocols |
 //!

@@ -11,7 +11,17 @@
 //! floats, null), which a few dozen lines handle, and the build environment
 //! is offline so pulling `serde` is not an option. [`RunRecord::to_json`] and
 //! [`RunRecord::from_json`] round-trip exactly for the values the simulator
-//! produces.
+//! produces; integer fields are read from the number's text, so every `u64`
+//! (seeds above 2⁵³ included) reads back as written.
+//!
+//! # Declaring a record kind
+//!
+//! Every kind is one entry of the `records!` table in this module: its
+//! `kind` discriminator, its [`RecordLine`] variant, and its fields once, in
+//! wire order, each with its type and presence. From that entry the table
+//! generates the struct, `to_json`, `from_json`, the [`RecordLine`] variant
+//! and its dispatch, and the [`Record`] impl. Adding a kind is one table
+//! entry (plus a renderer in `ssle report`, and a schema-version bump).
 //!
 //! # Schema versions
 //!
@@ -86,8 +96,146 @@ pub const SCHEMA_VERSION: u32 = 9;
 /// Oldest schema version readers still accept.
 pub const MIN_SCHEMA_VERSION: u32 = 1;
 
-fn check_version(fields: &BTreeMap<String, JsonScalar>) -> Result<(), String> {
-    let version = get_u64(fields, "v")?;
+/// One scalar of a record line as parsed: a number keeps its text, so an
+/// integer field is read exactly rather than through `f64`.
+#[derive(Debug)]
+enum Raw<'a> {
+    Str(String),
+    Num(&'a str),
+    Bool(bool),
+    Null,
+}
+
+/// The fields of one record line, by key.
+type Fields<'a> = BTreeMap<String, Raw<'a>>;
+
+/// Parses one record line into its fields.
+fn parse_record(line: &str) -> Result<Fields<'_>, String> {
+    parse_object(line, |raw| {
+        if let Raw::Num(text) = raw {
+            parse_number(text)?;
+        }
+        Ok(raw)
+    })
+}
+
+/// A value a record field holds, with its wire encoding. `Option<T>` is
+/// written as `null` when `None`, and read back as `None` from `null` or
+/// from an absent key.
+trait Field: Sized {
+    /// Writes the value under `key`.
+    fn put(&self, obj: &mut JsonObject, key: &str);
+    /// Reads a present value; the error names what was expected.
+    fn read(raw: &Raw<'_>) -> Result<Self, String>;
+    /// The value of an absent key, if a key may be absent.
+    fn absent() -> Option<Self> {
+        None
+    }
+}
+
+impl Field for String {
+    fn put(&self, obj: &mut JsonObject, key: &str) {
+        obj.field_str(key, self);
+    }
+    fn read(raw: &Raw<'_>) -> Result<Self, String> {
+        match raw {
+            Raw::Str(s) => Ok(s.clone()),
+            _ => Err("string".to_string()),
+        }
+    }
+}
+
+impl Field for u64 {
+    fn put(&self, obj: &mut JsonObject, key: &str) {
+        obj.field_u64(key, *self);
+    }
+    fn read(raw: &Raw<'_>) -> Result<Self, String> {
+        let expected = || "a non-negative integer".to_string();
+        let Raw::Num(text) = raw else { return Err(expected()) };
+        if let Ok(x) = text.parse() {
+            return Ok(x);
+        }
+        // Integral spellings such as `12.0` or `1e3`, exact up to 2^53.
+        let x = parse_number(text)?;
+        if x >= 0.0 && x.fract() == 0.0 && x <= 2f64.powi(53) {
+            Ok(x as u64)
+        } else {
+            Err(expected())
+        }
+    }
+}
+
+impl Field for f64 {
+    fn put(&self, obj: &mut JsonObject, key: &str) {
+        obj.field_f64(key, *self);
+    }
+    fn read(raw: &Raw<'_>) -> Result<Self, String> {
+        match raw {
+            Raw::Num(text) => parse_number(text),
+            _ => Err("number".to_string()),
+        }
+    }
+}
+
+impl Field for bool {
+    fn put(&self, obj: &mut JsonObject, key: &str) {
+        obj.field_bool(key, *self);
+    }
+    fn read(raw: &Raw<'_>) -> Result<Self, String> {
+        match raw {
+            Raw::Bool(b) => Ok(*b),
+            _ => Err("bool".to_string()),
+        }
+    }
+}
+
+impl<T: Field> Field for Option<T> {
+    fn put(&self, obj: &mut JsonObject, key: &str) {
+        match self {
+            Some(value) => value.put(obj, key),
+            None => {
+                obj.field_null(key);
+            }
+        }
+    }
+    fn read(raw: &Raw<'_>) -> Result<Self, String> {
+        match raw {
+            Raw::Null => Ok(None),
+            raw => T::read(raw).map(Some).map_err(|expected| format!("{expected} or null")),
+        }
+    }
+    fn absent() -> Option<Self> {
+        Some(None)
+    }
+}
+
+/// Reads field `key` as a `T`.
+fn get<T: Field>(fields: &Fields<'_>, key: &str) -> Result<T, String> {
+    match fields.get(key) {
+        None => T::absent().ok_or_else(|| format!("missing field {key:?}")),
+        Some(raw) => T::read(raw)
+            .map_err(|expected| format!("field {key:?}: expected {expected}, got {raw:?}")),
+    }
+}
+
+/// Writes a [`RunOutcome`] as its `outcome` + `interactions` pair.
+fn put_outcome(outcome: &RunOutcome, obj: &mut JsonObject) {
+    obj.field_str("outcome", if outcome.is_converged() { "converged" } else { "exhausted" });
+    obj.field_u64("interactions", outcome.interactions());
+}
+
+/// Reads a [`RunOutcome`] back from its `outcome` + `interactions` pair.
+fn get_outcome(fields: &Fields<'_>) -> Result<RunOutcome, String> {
+    let interactions = get(fields, "interactions")?;
+    match get::<String>(fields, "outcome")?.as_str() {
+        "converged" => Ok(RunOutcome::Converged { interactions }),
+        "exhausted" => Ok(RunOutcome::Exhausted { interactions }),
+        other => Err(format!("unknown outcome {other:?}")),
+    }
+}
+
+fn check_version(fields: &Fields<'_>) -> Result<(), String> {
+    let version: u64 = get(fields, "v")?;
     if !(MIN_SCHEMA_VERSION as u64..=SCHEMA_VERSION as u64).contains(&version) {
         return Err(format!(
             "unsupported record version {version} (reader supports {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION})"
@@ -96,43 +244,658 @@ fn check_version(fields: &BTreeMap<String, JsonScalar>) -> Result<(), String> {
     Ok(())
 }
 
-/// One measured trial, self-describing enough to be aggregated without the
-/// context of the run that produced it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunRecord {
-    /// Name of the experiment that produced this record (e.g. `"table1"`).
-    pub experiment: String,
-    /// Protocol short-name (e.g. `"ciw"`, `"oss"`, `"sublinear"`).
-    pub protocol: String,
-    /// Population size.
-    pub n: u64,
-    /// Depth parameter `H` for Sublinear-Time-SSR; `None` for protocols
-    /// without one.
-    pub h: Option<u64>,
-    /// Trial index within the experiment.
-    pub trial: u64,
-    /// Base seed of the experiment (per-trial seeds derive from it).
-    pub seed: u64,
-    /// How the trial ended.
-    pub outcome: RunOutcome,
-    /// Wall-clock seconds the trial took.
-    pub wall_s: f64,
-    /// Fraction of observed interactions with a unique leader — only emitted
-    /// by chaos/soak trials (see [`crate::fault::ChaosReport::availability`]).
-    pub availability: Option<f64>,
-    /// Number of faults injected during the trial — only emitted by
-    /// chaos/soak trials.
-    pub faults: Option<u64>,
-    /// Scheduler spec string (e.g. `"zipf:1"`, `"starve:4:256"`) — only
-    /// emitted by robustness trials; absent means the uniform scheduler
-    /// (schema v3).
-    pub scheduler: Option<String>,
-    /// Interaction-omission probability — only emitted by robustness trials;
-    /// absent means perfectly reliable interactions (schema v3).
-    pub omission: Option<f64>,
-    /// Starvation-window length in interactions of the epoch adversary —
-    /// only emitted when the scheduler is `starve:*` (schema v3).
-    pub starve_window: Option<u64>,
+/// The `kind` discriminator of a parsed line; v1 lines (no `kind` field) are
+/// trial records.
+fn record_kind<'f>(fields: &'f Fields<'_>) -> Result<&'f str, String> {
+    match fields.get("kind") {
+        None => Ok("trial"),
+        Some(Raw::Str(s)) => Ok(s),
+        Some(other) => Err(format!("field \"kind\": expected string, got {other:?}")),
+    }
+}
+
+/// Parses one line as a record of kind `kind`, decoding its fields with
+/// `decode`.
+fn decode_line<T>(
+    line: &str,
+    kind: &str,
+    decode: fn(&Fields<'_>) -> Result<T, String>,
+) -> Result<T, String> {
+    let fields = parse_record(line)?;
+    check_version(&fields)?;
+    match record_kind(&fields)? {
+        found if found == kind => decode(&fields),
+        other => Err(format!("expected a {kind} record, got kind {other:?}")),
+    }
+}
+
+/// A record kind declared in the `records!` table, as one variant of
+/// [`RecordLine`].
+pub trait Record: Sized {
+    /// The record `line` holds, if it is of this kind.
+    fn of_line(line: &RecordLine) -> Option<&Self>;
+}
+
+/// Declares every record kind. Each entry is
+/// `Variant(Struct) = "kind" { fields }`, and each field one line, in wire
+/// order, after its doc comment:
+///
+/// * `name: T,` — required (`String`, `u64`, `f64` or `bool`), or `null`
+///   when `None` if `T` is an `Option`;
+/// * `name: Option<T> = omit,` — left out of the line when `None`;
+/// * `name: RunOutcome = outcome,` — written as the `outcome` +
+///   `interactions` pair;
+/// * `name: T = derived(method),` — write-only: `method()`'s value is
+///   written under `name` and never read back (no struct field).
+macro_rules! records {
+    // Field rows, one at a time: struct fields go to the first list, wire
+    // entries (in order, derived ones included) to the second.
+    (@rows $V:ident $S:ident $kind:literal $doc:tt [$($fields:tt)*] [$($wire:tt)*]) => {
+        records!(@emit $V $S $kind $doc [$($fields)*] [$($wire)*]);
+    };
+    (@rows $V:ident $S:ident $kind:literal $doc:tt [$($fields:tt)*] [$($wire:tt)*]
+        $(#[$m:meta])* $f:ident : $t:ty = derived($via:ident), $($rest:tt)*) => {
+        records!(@rows $V $S $kind $doc [$($fields)*] [$($wire)* { derived $f $via $t }]
+            $($rest)*);
+    };
+    (@rows $V:ident $S:ident $kind:literal $doc:tt [$($fields:tt)*] [$($wire:tt)*]
+        $(#[$m:meta])* $f:ident : $t:ty = $mode:ident, $($rest:tt)*) => {
+        records!(@rows $V $S $kind $doc [$($fields)* [$(#[$m])*] $f: $t = $mode]
+            [$($wire)* { $mode $f $f $t }] $($rest)*);
+    };
+    (@rows $V:ident $S:ident $kind:literal $doc:tt [$($fields:tt)*] [$($wire:tt)*]
+        $(#[$m:meta])* $f:ident : $t:ty, $($rest:tt)*) => {
+        records!(@rows $V $S $kind $doc [$($fields)* [$(#[$m])*] $f: $t = req]
+            [$($wire)* { req $f $f $t }] $($rest)*);
+    };
+    (@emit $V:ident $S:ident $kind:literal [$($doc:tt)*]
+        [$([$($fattr:tt)*] $f:ident : $t:ty = $mode:ident)*]
+        [$({ $wmode:ident $w:ident $via:ident $wt:ty })*]) => {
+        $($doc)*
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct $S {
+            $($($fattr)* pub $f: $t,)*
+        }
+
+        impl $S {
+            /// Serializes to a single-line JSON object.
+            pub fn to_json(&self) -> String {
+                let record = self;
+                let mut obj = JsonObject::new();
+                obj.field_u64("v", SCHEMA_VERSION as u64);
+                obj.field_str("kind", $kind);
+                $(records!(@put obj record $wmode $w $via $wt);)*
+                obj.finish()
+            }
+
+            #[doc = concat!("Parses a `", $kind, "` record from one JSONL line.")]
+            ///
+            /// Unknown fields are ignored (forward compatibility); a missing
+            /// or mistyped field, malformed JSON, a schema version outside
+            /// [`MIN_SCHEMA_VERSION`]`..=`[`SCHEMA_VERSION`], or a line of
+            /// another kind is an error.
+            pub fn from_json(line: &str) -> Result<Self, String> {
+                decode_line(line, $kind, Self::from_fields)
+            }
+
+            fn from_fields(fields: &Fields<'_>) -> Result<Self, String> {
+                Ok($S { $($f: records!(@get fields $mode $f),)* })
+            }
+        }
+
+        impl Record for $S {
+            fn of_line(line: &RecordLine) -> Option<&Self> {
+                match line {
+                    RecordLine::$V(record) => Some(record),
+                    _ => None,
+                }
+            }
+        }
+    };
+    (@put $obj:ident $r:ident req $f:ident $via:ident $t:ty) => {
+        Field::put(&$r.$f, &mut $obj, stringify!($f))
+    };
+    (@put $obj:ident $r:ident omit $f:ident $via:ident $t:ty) => {
+        if let Some(value) = &$r.$f {
+            Field::put(value, &mut $obj, stringify!($f));
+        }
+    };
+    (@put $obj:ident $r:ident outcome $f:ident $via:ident $t:ty) => {
+        put_outcome(&$r.$f, &mut $obj)
+    };
+    (@put $obj:ident $r:ident derived $f:ident $via:ident $t:ty) => {
+        <$t as Field>::put(&$r.$via(), &mut $obj, stringify!($f))
+    };
+    (@get $fields:ident outcome $f:ident) => {
+        get_outcome($fields)?
+    };
+    (@get $fields:ident $mode:ident $f:ident) => {
+        get($fields, stringify!($f))?
+    };
+    ($($(#[$doc:meta])* $V:ident($S:ident) = $kind:literal { $($rows:tt)* })*) => {
+        $(records!(@rows $V $S $kind [$(#[$doc])*] [] [] $($rows)*);)*
+
+        /// One parsed line of a (possibly mixed) JSONL experiment stream.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum RecordLine {
+            $(
+                #[doc = concat!("A `", $kind, "` line.")]
+                $V($S),
+            )*
+        }
+
+        impl RecordLine {
+            /// Dispatches on an already-parsed field map; `Ok(None)` means
+            /// the `kind` is well-formed but unknown to this reader (a
+            /// future schema).
+            fn from_known_fields(fields: &Fields<'_>) -> Result<Option<Self>, String> {
+                Ok(Some(match record_kind(fields)? {
+                    $($kind => RecordLine::$V($S::from_fields(fields)?),)*
+                    _ => return Ok(None),
+                }))
+            }
+
+            /// Serializes back to a single-line JSON object.
+            pub fn to_json(&self) -> String {
+                match self {
+                    $(RecordLine::$V(record) => record.to_json(),)*
+                }
+            }
+        }
+    };
+}
+
+records! {
+    /// One measured trial, self-describing enough to be aggregated without
+    /// the context of the run that produced it.
+    Trial(RunRecord) = "trial" {
+        /// Name of the experiment that produced this record (e.g. `"table1"`).
+        experiment: String,
+        /// Protocol short-name (e.g. `"ciw"`, `"oss"`, `"sublinear"`).
+        protocol: String,
+        /// Population size.
+        n: u64,
+        /// Depth parameter `H` for Sublinear-Time-SSR; `None` for protocols
+        /// without one.
+        h: Option<u64>,
+        /// Trial index within the experiment.
+        trial: u64,
+        /// Base seed of the experiment (per-trial seeds derive from it).
+        seed: u64,
+        /// How the trial ended.
+        outcome: RunOutcome = outcome,
+        parallel_time: f64 = derived(parallel_time),
+        /// Wall-clock seconds the trial took.
+        wall_s: f64,
+        ips: f64 = derived(interactions_per_second),
+        /// Fraction of observed interactions with a unique leader — only
+        /// emitted by chaos/soak trials (see
+        /// [`crate::fault::ChaosReport::availability`]).
+        availability: Option<f64> = omit,
+        /// Number of faults injected during the trial — only emitted by
+        /// chaos/soak trials.
+        faults: Option<u64> = omit,
+        /// Scheduler spec string (e.g. `"zipf:1"`, `"starve:4:256"`) — only
+        /// emitted by robustness trials; absent means the uniform scheduler
+        /// (schema v3).
+        scheduler: Option<String> = omit,
+        /// Interaction-omission probability — only emitted by robustness
+        /// trials; absent means perfectly reliable interactions (schema v3).
+        omission: Option<f64> = omit,
+        /// Starvation-window length in interactions of the epoch adversary —
+        /// only emitted when the scheduler is `starve:*` (schema v3).
+        starve_window: Option<u64> = omit,
+    }
+
+    /// One fault injected during a chaos/soak trial (`kind = "fault"`,
+    /// schema v2). Each fired fault becomes one line next to its trial's
+    /// `"trial"` line, so recovery distributions can be re-analyzed per
+    /// `(action, agents)` cell without re-running the experiment.
+    Fault(FaultRecord) = "fault" {
+        /// Name of the experiment that produced this record.
+        experiment: String,
+        /// Protocol short-name (e.g. `"ciw"`, `"oss"`, `"sublinear"`).
+        protocol: String,
+        /// Population size.
+        n: u64,
+        /// Depth parameter `H`, if the protocol has one.
+        h: Option<u64>,
+        /// Trial index the fault fired in.
+        trial: u64,
+        /// Base seed of the experiment.
+        seed: u64,
+        /// Action label (see `FaultAction::label` in [`crate::fault`]).
+        action: String,
+        /// Number of agent states the fault overwrote.
+        agents: u64,
+        /// Total interaction count at injection.
+        injected_at: u64,
+        /// Total interaction count at the next stable ranking, or `None` if
+        /// the run ended before recovering (censored).
+        recovered_at: Option<u64>,
+        recovery_parallel_time: Option<f64> = derived(recovery_parallel_time),
+    }
+
+    /// One backend-throughput measurement at a single population size
+    /// (`kind = "frontier"`, schema v2), emitted by the `scaling_frontier`
+    /// bench. Unlike a [`RunRecord`], a frontier record names the
+    /// **backend** that executed the run (`"agents"` or `"counts"`), so
+    /// agent-array and count-based throughput can be compared per
+    /// `(workload, n)` cell, and it carries the count-backend compression
+    /// evidence (`support`, the number of distinct states) where available.
+    Frontier(FrontierRecord) = "frontier" {
+        /// Name of the experiment that produced this record (e.g. `"frontier"`).
+        experiment: String,
+        /// Workload short-name (e.g. `"epidemic"`, `"loose"`).
+        protocol: String,
+        /// Simulation backend that executed the run (`"agents"` / `"counts"`).
+        backend: String,
+        /// Population size.
+        n: u64,
+        /// Trial index within the experiment.
+        trial: u64,
+        /// Base seed of the experiment (per-trial seeds derive from it).
+        seed: u64,
+        /// How the run ended.
+        outcome: RunOutcome = outcome,
+        parallel_time: f64 = derived(parallel_time),
+        /// Wall-clock seconds the run took.
+        wall_s: f64,
+        ips: f64 = derived(interactions_per_second),
+        /// Final number of distinct states (count backend only): the
+        /// quantity that decides whether counting compresses the
+        /// configuration at all.
+        support: Option<u64>,
+        /// Final number of leaders, for leader-election workloads.
+        leaders: Option<u64>,
+    }
+
+    /// One within-run trajectory checkpoint (`kind = "timeline"`, schema
+    /// v4), emitted by `ssle simulate --timeline`. A run's timeline is the
+    /// sequence of its checkpoint lines ordered by `interactions`; see
+    /// [`crate::timeline`] for how checkpoints are decimated to a bounded
+    /// count. The flat `phases` string encodes the per-phase occupancy map
+    /// as `name:count,name:count` (sorted by name) because the record
+    /// reader is deliberately scalar-only.
+    Timeline(TimelineRecord) = "timeline" {
+        /// Name of the experiment that produced this record (e.g. `"simulate"`).
+        experiment: String,
+        /// Protocol short-name (e.g. `"ciw"`, `"oss"`, `"sublinear"`).
+        protocol: String,
+        /// Simulation backend that executed the run (`"agents"` / `"counts"`).
+        backend: String,
+        /// Population size.
+        n: u64,
+        /// Trial index within the experiment.
+        trial: u64,
+        /// Base seed of the experiment.
+        seed: u64,
+        /// Interaction count the checkpoint was taken at.
+        interactions: u64,
+        parallel_time: f64 = derived(parallel_time),
+        /// Number of agents outputting leader (rank 1) at the checkpoint.
+        leaders: u64,
+        /// Number of ranks held by exactly one agent; equals `n` when ranked.
+        ranks_ok: u64,
+        /// Distinct states at the checkpoint (count backend only).
+        support: Option<u64>,
+        /// Flat `name:count,name:count` phase-occupancy encoding, absent for
+        /// protocols without phase structure.
+        phases: Option<String>,
+    }
+
+    /// One engine-telemetry summary (`kind = "metrics"`, schema v5),
+    /// emitted by `ssle simulate/soak --metrics` and the `perf_baseline`
+    /// bench. Where every other record describes what the *protocol* did, a
+    /// metrics record describes what the *simulator* did: batch sizes,
+    /// exact-fallback and memo-hit counters, compactions, RNG draws, and
+    /// coarse per-section wall time (see [`crate::metrics`]). `trial = None`
+    /// marks a merged cross-trial row. The flat `batch_hist` string encodes
+    /// the log-bucketed batch-size histogram as `bound:count,…` (overflow
+    /// bucket as `inf:count`) because the record reader is deliberately
+    /// scalar-only.
+    Metrics(MetricsRecord) = "metrics" {
+        /// Name of the experiment that produced this record (e.g. `"simulate"`).
+        experiment: String,
+        /// Protocol short-name (e.g. `"ciw"`, `"oss"`, `"epidemic"`).
+        protocol: String,
+        /// Simulation backend that executed the run (`"agents"` / `"counts"`).
+        backend: String,
+        /// Population size.
+        n: u64,
+        /// Trial index, or `None` for a merged cross-trial row.
+        trial: Option<u64>,
+        /// Base seed of the experiment.
+        seed: u64,
+        /// Wall-clock seconds of the summarized run(s).
+        wall_s: f64,
+        /// Total interactions performed.
+        interactions: u64,
+        ips: f64 = derived(interactions_per_second),
+        /// Collision-free batches completed (counts backend).
+        batches: u64,
+        /// Interactions performed inside collision-free batches.
+        batched_pairs: u64,
+        /// Interactions that went through the exact per-interaction fallback.
+        exact_steps: u64,
+        /// Uniform draws consumed from the execution RNG.
+        rng_draws: u64,
+        /// Memoized-transition lookups that hit.
+        memo_hits: u64,
+        /// Memoized-transition lookups that missed.
+        memo_misses: u64,
+        /// CountConfig compactions performed.
+        compactions: u64,
+        /// Distinct live states after the most recent compaction (0 = never
+        /// compacted).
+        support: u64,
+        /// Raw count-table length after the most recent compaction.
+        raw_len: u64,
+        /// Batch-boundary flushes observed.
+        flushes: u64,
+        /// Flat `bound:count,…` batch-size histogram, absent when no batch ran.
+        batch_hist: Option<String>,
+        /// Wall seconds in the sampling section (schedule draws).
+        sample_s: f64,
+        /// Wall seconds in the transition section (applying interactions).
+        transition_s: f64,
+        /// Wall seconds in the probe section (convergence checks).
+        probe_s: f64,
+        /// Wall seconds in the observe section (snapshots, observers).
+        observe_s: f64,
+    }
+
+    /// One dynamic-population trial (`kind = "churn"`, schema v6), emitted
+    /// by `ssle simulate/soak --churn` and the `churn_resilience` bench. Each
+    /// line summarizes a whole trial under membership churn and/or Byzantine
+    /// agents: how much the population changed, how often the adversary
+    /// struck, and the availability/recovery statistics from the shared
+    /// [`crate::fault`] recovery clock. Fired membership events additionally
+    /// appear as ordinary `"fault"` lines next to their trial, so per-event
+    /// recovery distributions stay re-analyzable.
+    Churn(ChurnRecord) = "churn" {
+        /// Name of the experiment that produced this record (e.g. `"churn"`).
+        experiment: String,
+        /// Protocol short-name (e.g. `"ciw"`, `"oss"`, `"sublinear"`).
+        protocol: String,
+        /// Simulation backend that executed the run (`"agents"` / `"counts"`).
+        backend: String,
+        /// Population size the protocol was configured for (the size ranking
+        /// is judged against; churn moves the live size away from it).
+        n: u64,
+        /// Live population size when the trial ended.
+        final_n: u64,
+        /// Depth parameter `H`, if the protocol has one.
+        h: Option<u64>,
+        /// Trial index within the experiment.
+        trial: u64,
+        /// Base seed of the experiment (per-trial seeds derive from it).
+        seed: u64,
+        /// Churn spec string the trial ran under (e.g. `"2.0"` or
+        /// `"join:4@8,leave:4@16"`); `"none"` when only Byzantine agents were
+        /// active.
+        churn: String,
+        /// Byzantine fraction `t` in `[0, 1)`.
+        byzantine: f64,
+        /// Agents that joined (grew the population) during the trial.
+        joins: u64,
+        /// Agents that left (shrank the population) during the trial.
+        leaves: u64,
+        /// Agents replaced in place (departure + fresh join, size unchanged).
+        replacements: u64,
+        /// Byzantine state overwrites applied during the trial.
+        byz_strikes: u64,
+        /// Membership/fault events that opened a recovery clock.
+        faults: u64,
+        /// Fraction of observed steps with exactly one leader.
+        availability: f64,
+        /// Fraction of observed steps with the full ranking in place.
+        ranked_availability: f64,
+        /// Recovery clocks that closed before the trial ended.
+        recovered: u64,
+        /// Mean recovery time in parallel time across recovered clocks
+        /// (`None` when nothing recovered).
+        mean_recovery_pt: Option<f64>,
+        /// Parallel time of the first stable full ranking, if reached.
+        first_ranked_pt: Option<f64>,
+        /// Total interactions executed.
+        interactions: u64,
+        /// Total parallel time executed (piecewise `1/n_live` per
+        /// interaction, so it stays meaningful while `n` varies).
+        parallel_time: f64,
+        /// Wall-clock seconds the trial took.
+        wall_s: f64,
+        ips: f64 = derived(interactions_per_second),
+    }
+
+    /// One service-throughput measurement (`kind = "service"`, schema v7),
+    /// emitted by the `service_throughput` bench: `clients` concurrent wire
+    /// clients hammering one `ssle serve` daemon hosting a population of
+    /// size `n`, mixing queries and event injections. Latency is per
+    /// complete request (write line, read response) in microseconds.
+    Service(ServiceRecord) = "service" {
+        /// Name of the experiment that produced this record (e.g. `"service"`).
+        experiment: String,
+        /// Protocol short-name the hosted population runs.
+        protocol: String,
+        /// Simulation backend hosting the population (`"agents"` / `"counts"`).
+        backend: String,
+        /// Population size of the hosted population.
+        n: u64,
+        /// Concurrent client connections issuing requests.
+        clients: u64,
+        /// Total requests completed across all clients.
+        requests: u64,
+        /// Sustained requests per second across the whole run.
+        rps: f64,
+        /// Median per-request latency, microseconds.
+        p50_us: f64,
+        /// 99th-percentile per-request latency, microseconds.
+        p99_us: f64,
+        /// Base seed of the bench cell.
+        seed: u64,
+        /// Wall-clock seconds the cell took.
+        wall_s: f64,
+    }
+
+    /// One crash-recovery measurement (`kind = "crash"`, schema v8), emitted
+    /// by the `crash_recovery` bench: a journaled population is driven
+    /// through `events_applied` mutating commands, its journal is truncated
+    /// to the bytes durable at a simulated `kill -9` (the `kill_point`
+    /// fraction of the run), and recovery replays snapshot + journal tail.
+    /// `lost_events` is the tail the crash discarded — bounded by the fsync
+    /// policy's window — and `replay_identical` records whether the
+    /// recovered population was bit-identical to a never-crashed replay of
+    /// the surviving prefix.
+    Crash(CrashRecord) = "crash" {
+        /// Name of the experiment that produced this record (e.g. `"crash"`).
+        experiment: String,
+        /// Protocol short-name the journaled population runs.
+        protocol: String,
+        /// Simulation backend hosting the population (`"agents"` / `"counts"`).
+        backend: String,
+        /// Population size of the journaled population.
+        n: u64,
+        /// Fsync policy spec (`"always"`, `"every:N"`, `"never"`).
+        fsync: String,
+        /// Fraction of the command stream after which the crash fired.
+        kill_point: f64,
+        /// Mutating commands applied (and journaled) before the crash.
+        events_applied: u64,
+        /// Commands recovered from snapshot + journal tail after the crash.
+        events_recovered: u64,
+        /// Commands lost to the crash (`events_applied - events_recovered`).
+        lost_events: u64,
+        /// Wall-clock milliseconds the boot-time recovery took.
+        recovery_ms: f64,
+        /// Whether the recovered state matched a never-crashed replay of the
+        /// surviving prefix bit-for-bit (snapshot-serialization equality).
+        replay_identical: bool,
+        /// Base seed of the bench cell.
+        seed: u64,
+        /// Wall-clock seconds the cell took.
+        wall_s: f64,
+    }
+
+    /// One per-population liveness row (`kind = "health"`, schema v8), as
+    /// reported by the `health` wire command of `ssle serve`: protocol
+    /// identity, live-agent count, journal position (`seq`) versus the last
+    /// snapshot (`snapshot_seq`), the resulting replay `lag`, and how many
+    /// times the watchdog has quarantined-and-healed a poisoned population
+    /// since boot.
+    Health(HealthRecord) = "health" {
+        /// Name of the experiment that produced this record (`"serve"` for
+        /// the daemon's own rows).
+        experiment: String,
+        /// Served population name.
+        pop: String,
+        /// Protocol short-name the population runs.
+        protocol: String,
+        /// Simulation backend (`"agents"` / `"counts"`).
+        backend: String,
+        /// Population size.
+        n: u64,
+        /// Live (non-tombstoned) agents.
+        live: u64,
+        /// Interactions simulated so far.
+        interactions: u64,
+        /// Whether the population currently has a unique ranked leader.
+        ranked: bool,
+        /// Journal sequence number of the last applied mutating command.
+        seq: u64,
+        /// Journal sequence number covered by the last snapshot.
+        snapshot_seq: u64,
+        /// Journaled-but-unsnapshotted commands (`seq - snapshot_seq`): the
+        /// replay work a crash-restart would have to redo.
+        lag: u64,
+        /// Fsync policy spec the journal runs under; `None` (written `null`)
+        /// when the daemon is undurable.
+        fsync: Option<String>,
+        /// Poison-quarantine heals performed by the registry since boot.
+        quarantines: u64,
+    }
+
+    /// One per-wire-command latency aggregate (`kind = "server_stats"`,
+    /// schema v9), emitted by the `stats` wire command from the daemon's
+    /// request tracer. `count`/`rps` cover the window since boot or the last
+    /// `stats` reset; the `*_us` span fields are *mean* per-request
+    /// microseconds attributing where a request's time went; `hist` is the
+    /// end-to-end latency histogram in the shared `bound:count,…,inf:count`
+    /// log₂-bucket encoding (bounds in microseconds), empty when no request
+    /// landed. The pool/journal gauges (`busy`, `queue_depth`,
+    /// `journal_lag`) are daemon-global, repeated on every row of one
+    /// `stats` response.
+    ServerStats(ServerStatsRecord) = "server_stats" {
+        /// Name of the experiment/run that produced this record.
+        experiment: String,
+        /// The wire command this row aggregates (`"other"` for the rest).
+        cmd: String,
+        /// Requests served in the window.
+        count: u64,
+        /// Requests answered with `ok:false`.
+        errors: u64,
+        /// Sustained requests per second over the window.
+        rps: f64,
+        /// Median end-to-end latency (histogram bucket upper bound), µs.
+        p50_us: f64,
+        /// 95th-percentile end-to-end latency, µs.
+        p95_us: f64,
+        /// 99th-percentile end-to-end latency, µs.
+        p99_us: f64,
+        /// Mean end-to-end latency, µs.
+        mean_us: f64,
+        /// Mean pool-queue wait per request, µs.
+        queue_us: f64,
+        /// Mean request-parse time per request, µs.
+        parse_us: f64,
+        /// Mean registry-map lock wait per request, µs.
+        registry_lock_us: f64,
+        /// Mean per-population lock wait per request, µs.
+        pop_lock_us: f64,
+        /// Mean engine work per request, µs.
+        engine_us: f64,
+        /// Mean journal append (excluding fsync) per request, µs.
+        journal_us: f64,
+        /// Mean journal fsync per request, µs.
+        fsync_us: f64,
+        /// Mean response write+flush per request, µs.
+        write_us: f64,
+        /// End-to-end latency histogram (`bound:count,…`); empty if massless.
+        hist: String,
+        /// Seconds the window covers.
+        window_s: f64,
+        /// Busy-envelope refusals at the accept loop (daemon-global).
+        busy: u64,
+        /// Pool queue depth at the last accept (daemon-global gauge).
+        queue_depth: u64,
+        /// Requests past the `--slow-ms` threshold (daemon-global).
+        slow: u64,
+        /// Max journaled-but-unsnapshotted lag across populations
+        /// (daemon-global).
+        journal_lag: u64,
+    }
+
+    /// One request trace (`kind = "trace"`, schema v9) from the daemon's
+    /// flight recorder — dumped to JSONL on worker panic/quarantine or via
+    /// the `dump-trace` admin command. Span fields are microseconds; spans
+    /// are non-overlapping (`journal_us` excludes the fsync it triggered),
+    /// so they sum to at most `total_us`. `id` is the client request id
+    /// (retry dedup), letting retried requests correlate across traces.
+    Trace(TraceRecord) = "trace" {
+        /// The wire command (`"other"` for unparseable requests).
+        cmd: String,
+        /// Target population name; empty for population-less commands.
+        pop: String,
+        /// Client request id; empty when the client sent none.
+        id: String,
+        /// Whether the response carried `ok:true`.
+        ok: bool,
+        /// End-to-end microseconds (queue wait through response flush).
+        total_us: u64,
+        /// Pool-queue wait, µs (connection's first request only).
+        queue_us: u64,
+        /// Request-line parse, µs.
+        parse_us: u64,
+        /// Registry-map lock wait, µs.
+        registry_lock_us: u64,
+        /// Per-population lock wait, µs.
+        pop_lock_us: u64,
+        /// Engine work under the cell lock, µs.
+        engine_us: u64,
+        /// Journal append excluding fsync, µs.
+        journal_us: u64,
+        /// Journal fsync, µs.
+        fsync_us: u64,
+        /// Response write+flush, µs.
+        write_us: u64,
+    }
+}
+
+/// Interactions per wall-clock second (0 if no wall time was recorded).
+fn per_second(interactions: u64, wall_s: f64) -> f64 {
+    if wall_s > 0.0 {
+        interactions as f64 / wall_s
+    } else {
+        0.0
+    }
+}
+
+/// Decodes a flat `label:count,label:count` string into its pairs; `what`
+/// names the field in errors.
+fn decode_pairs(text: Option<&str>, what: &str) -> Result<Vec<(String, u64)>, String> {
+    let Some(text) = text else {
+        return Ok(Vec::new());
+    };
+    text.split(',')
+        .map(|entry| {
+            let (label, count) = entry
+                .rsplit_once(':')
+                .ok_or_else(|| format!("{what} entry {entry:?} has no ':'"))?;
+            let count: u64 =
+                count.parse().map_err(|_| format!("{what} entry {entry:?} has a bad count"))?;
+            Ok((label.to_string(), count))
+        })
+        .collect()
 }
 
 impl RunRecord {
@@ -143,118 +906,7 @@ impl RunRecord {
 
     /// Interactions per wall-clock second (0 if no wall time was recorded).
     pub fn interactions_per_second(&self) -> f64 {
-        if self.wall_s > 0.0 {
-            self.outcome.interactions() as f64 / self.wall_s
-        } else {
-            0.0
-        }
-    }
-
-    /// Serializes to a single-line JSON object.
-    pub fn to_json(&self) -> String {
-        let mut obj = JsonObject::new();
-        obj.field_u64("v", SCHEMA_VERSION as u64);
-        obj.field_str("kind", "trial");
-        obj.field_str("experiment", &self.experiment);
-        obj.field_str("protocol", &self.protocol);
-        obj.field_u64("n", self.n);
-        match self.h {
-            Some(h) => obj.field_u64("h", h),
-            None => obj.field_null("h"),
-        };
-        obj.field_u64("trial", self.trial);
-        obj.field_u64("seed", self.seed);
-        obj.field_str(
-            "outcome",
-            if self.outcome.is_converged() { "converged" } else { "exhausted" },
-        );
-        obj.field_u64("interactions", self.outcome.interactions());
-        obj.field_f64("parallel_time", self.parallel_time());
-        obj.field_f64("wall_s", self.wall_s);
-        obj.field_f64("ips", self.interactions_per_second());
-        if let Some(a) = self.availability {
-            obj.field_f64("availability", a);
-        }
-        if let Some(f) = self.faults {
-            obj.field_u64("faults", f);
-        }
-        if let Some(s) = &self.scheduler {
-            obj.field_str("scheduler", s);
-        }
-        if let Some(o) = self.omission {
-            obj.field_f64("omission", o);
-        }
-        if let Some(w) = self.starve_window {
-            obj.field_u64("starve_window", w);
-        }
-        obj.finish()
-    }
-
-    /// Parses a trial record from one JSONL line.
-    ///
-    /// Unknown fields are ignored (forward compatibility); missing required
-    /// fields, malformed JSON, a schema version outside
-    /// [`MIN_SCHEMA_VERSION`]`..=`[`SCHEMA_VERSION`], or a line of a
-    /// different kind (e.g. a fault record) are errors.
-    pub fn from_json(line: &str) -> Result<Self, String> {
-        let fields = parse_flat_json(line)?;
-        check_version(&fields)?;
-        match record_kind(&fields)? {
-            "trial" => {}
-            other => return Err(format!("expected a trial record, got kind {other:?}")),
-        }
-        Self::from_fields(&fields)
-    }
-
-    fn from_fields(fields: &BTreeMap<String, JsonScalar>) -> Result<Self, String> {
-        let interactions = get_u64(fields, "interactions")?;
-        let outcome = match get_str(fields, "outcome")? {
-            "converged" => RunOutcome::Converged { interactions },
-            "exhausted" => RunOutcome::Exhausted { interactions },
-            other => return Err(format!("unknown outcome {other:?}")),
-        };
-        let availability = match fields.get("availability") {
-            None | Some(JsonScalar::Null) => None,
-            Some(JsonScalar::Num(x)) => Some(*x),
-            Some(other) => {
-                return Err(format!(
-                    "field \"availability\": expected number or null, got {other:?}"
-                ))
-            }
-        };
-        let faults = match fields.contains_key("faults") {
-            true => Some(get_u64(fields, "faults")?),
-            false => None,
-        };
-        let scheduler = match fields.get("scheduler") {
-            None | Some(JsonScalar::Null) => None,
-            Some(JsonScalar::Str(s)) => Some(s.clone()),
-            Some(other) => {
-                return Err(format!("field \"scheduler\": expected string or null, got {other:?}"))
-            }
-        };
-        let omission = match fields.get("omission") {
-            None | Some(JsonScalar::Null) => None,
-            Some(JsonScalar::Num(x)) => Some(*x),
-            Some(other) => {
-                return Err(format!("field \"omission\": expected number or null, got {other:?}"))
-            }
-        };
-        Ok(RunRecord {
-            experiment: get_str(fields, "experiment")?.to_string(),
-            protocol: get_str(fields, "protocol")?.to_string(),
-            n: get_u64(fields, "n")?,
-            h: get_opt_u64(fields, "h")?,
-            trial: get_u64(fields, "trial")?,
-            seed: get_u64(fields, "seed")?,
-            outcome,
-            wall_s: get_f64(fields, "wall_s")?,
-            availability,
-            faults,
-            scheduler,
-            omission,
-            starve_window: get_opt_u64(fields, "starve_window")?,
-        })
+        per_second(self.outcome.interactions(), self.wall_s)
     }
 
     /// Attaches the schema-v3 robustness metadata (scheduler spec, omission
@@ -275,53 +927,6 @@ impl RunRecord {
     }
 }
 
-/// The `kind` discriminator of a parsed line; v1 lines (no `kind` field) are
-/// trial records.
-fn record_kind(fields: &BTreeMap<String, JsonScalar>) -> Result<&str, String> {
-    match fields.get("kind") {
-        None => Ok("trial"),
-        Some(JsonScalar::Str(s)) => Ok(s),
-        Some(other) => Err(format!("field \"kind\": expected string, got {other:?}")),
-    }
-}
-
-fn get_opt_u64(fields: &BTreeMap<String, JsonScalar>, key: &str) -> Result<Option<u64>, String> {
-    match fields.get(key) {
-        None | Some(JsonScalar::Null) => Ok(None),
-        Some(JsonScalar::Num(_)) => Ok(Some(get_u64(fields, key)?)),
-        Some(other) => Err(format!("field {key:?}: expected number or null, got {other:?}")),
-    }
-}
-
-/// One fault injected during a chaos/soak trial (`kind = "fault"`, schema
-/// v2). Each fired fault becomes one line next to its trial's `"trial"` line,
-/// so recovery distributions can be re-analyzed per `(action, agents)` cell
-/// without re-running the experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultRecord {
-    /// Name of the experiment that produced this record.
-    pub experiment: String,
-    /// Protocol short-name (e.g. `"ciw"`, `"oss"`, `"sublinear"`).
-    pub protocol: String,
-    /// Population size.
-    pub n: u64,
-    /// Depth parameter `H`, if the protocol has one.
-    pub h: Option<u64>,
-    /// Trial index the fault fired in.
-    pub trial: u64,
-    /// Base seed of the experiment.
-    pub seed: u64,
-    /// Action label (see `FaultAction::label` in [`crate::fault`]).
-    pub action: String,
-    /// Number of agent states the fault overwrote.
-    pub agents: u64,
-    /// Total interaction count at injection.
-    pub injected_at: u64,
-    /// Total interaction count at the next stable ranking, or `None` if the
-    /// run ended before recovering (censored).
-    pub recovered_at: Option<u64>,
-}
-
 impl FaultRecord {
     /// Interactions from injection to recovery, if recovery happened.
     pub fn recovery_interactions(&self) -> Option<u64> {
@@ -332,92 +937,6 @@ impl FaultRecord {
     pub fn recovery_parallel_time(&self) -> Option<f64> {
         self.recovery_interactions().map(|i| i as f64 / self.n as f64)
     }
-
-    /// Serializes to a single-line JSON object.
-    pub fn to_json(&self) -> String {
-        let mut obj = JsonObject::new();
-        obj.field_u64("v", SCHEMA_VERSION as u64);
-        obj.field_str("kind", "fault");
-        obj.field_str("experiment", &self.experiment);
-        obj.field_str("protocol", &self.protocol);
-        obj.field_u64("n", self.n);
-        match self.h {
-            Some(h) => obj.field_u64("h", h),
-            None => obj.field_null("h"),
-        };
-        obj.field_u64("trial", self.trial);
-        obj.field_u64("seed", self.seed);
-        obj.field_str("action", &self.action);
-        obj.field_u64("agents", self.agents);
-        obj.field_u64("injected_at", self.injected_at);
-        match self.recovered_at {
-            Some(r) => obj.field_u64("recovered_at", r),
-            None => obj.field_null("recovered_at"),
-        };
-        match self.recovery_parallel_time() {
-            Some(t) => obj.field_f64("recovery_parallel_time", t),
-            None => obj.field_null("recovery_parallel_time"),
-        };
-        obj.finish()
-    }
-
-    /// Parses a fault record from one JSONL line.
-    pub fn from_json(line: &str) -> Result<Self, String> {
-        let fields = parse_flat_json(line)?;
-        check_version(&fields)?;
-        match record_kind(&fields)? {
-            "fault" => {}
-            other => return Err(format!("expected a fault record, got kind {other:?}")),
-        }
-        Self::from_fields(&fields)
-    }
-
-    fn from_fields(fields: &BTreeMap<String, JsonScalar>) -> Result<Self, String> {
-        Ok(FaultRecord {
-            experiment: get_str(fields, "experiment")?.to_string(),
-            protocol: get_str(fields, "protocol")?.to_string(),
-            n: get_u64(fields, "n")?,
-            h: get_opt_u64(fields, "h")?,
-            trial: get_u64(fields, "trial")?,
-            seed: get_u64(fields, "seed")?,
-            action: get_str(fields, "action")?.to_string(),
-            agents: get_u64(fields, "agents")?,
-            injected_at: get_u64(fields, "injected_at")?,
-            recovered_at: get_opt_u64(fields, "recovered_at")?,
-        })
-    }
-}
-
-/// One backend-throughput measurement at a single population size
-/// (`kind = "frontier"`, schema v2), emitted by the `scaling_frontier`
-/// bench. Unlike a [`RunRecord`], a frontier record names the **backend**
-/// that executed the run (`"agents"` or `"counts"`), so agent-array and
-/// count-based throughput can be compared per `(workload, n)` cell, and it
-/// carries the count-backend compression evidence (`support`, the number of
-/// distinct states) where available.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrontierRecord {
-    /// Name of the experiment that produced this record (e.g. `"frontier"`).
-    pub experiment: String,
-    /// Workload short-name (e.g. `"epidemic"`, `"loose"`).
-    pub protocol: String,
-    /// Simulation backend that executed the run (`"agents"` / `"counts"`).
-    pub backend: String,
-    /// Population size.
-    pub n: u64,
-    /// Trial index within the experiment.
-    pub trial: u64,
-    /// Base seed of the experiment (per-trial seeds derive from it).
-    pub seed: u64,
-    /// How the run ended.
-    pub outcome: RunOutcome,
-    /// Wall-clock seconds the run took.
-    pub wall_s: f64,
-    /// Final number of distinct states (count backend only): the quantity
-    /// that decides whether counting compresses the configuration at all.
-    pub support: Option<u64>,
-    /// Final number of leaders, for leader-election workloads.
-    pub leaders: Option<u64>,
 }
 
 impl FrontierRecord {
@@ -428,108 +947,8 @@ impl FrontierRecord {
 
     /// Interactions per wall-clock second (0 if no wall time was recorded).
     pub fn interactions_per_second(&self) -> f64 {
-        if self.wall_s > 0.0 {
-            self.outcome.interactions() as f64 / self.wall_s
-        } else {
-            0.0
-        }
+        per_second(self.outcome.interactions(), self.wall_s)
     }
-
-    /// Serializes to a single-line JSON object.
-    pub fn to_json(&self) -> String {
-        let mut obj = JsonObject::new();
-        obj.field_u64("v", SCHEMA_VERSION as u64);
-        obj.field_str("kind", "frontier");
-        obj.field_str("experiment", &self.experiment);
-        obj.field_str("protocol", &self.protocol);
-        obj.field_str("backend", &self.backend);
-        obj.field_u64("n", self.n);
-        obj.field_u64("trial", self.trial);
-        obj.field_u64("seed", self.seed);
-        obj.field_str(
-            "outcome",
-            if self.outcome.is_converged() { "converged" } else { "exhausted" },
-        );
-        obj.field_u64("interactions", self.outcome.interactions());
-        obj.field_f64("parallel_time", self.parallel_time());
-        obj.field_f64("wall_s", self.wall_s);
-        obj.field_f64("ips", self.interactions_per_second());
-        match self.support {
-            Some(s) => obj.field_u64("support", s),
-            None => obj.field_null("support"),
-        };
-        match self.leaders {
-            Some(l) => obj.field_u64("leaders", l),
-            None => obj.field_null("leaders"),
-        };
-        obj.finish()
-    }
-
-    /// Parses a frontier record from one JSONL line.
-    pub fn from_json(line: &str) -> Result<Self, String> {
-        let fields = parse_flat_json(line)?;
-        check_version(&fields)?;
-        match record_kind(&fields)? {
-            "frontier" => {}
-            other => return Err(format!("expected a frontier record, got kind {other:?}")),
-        }
-        Self::from_fields(&fields)
-    }
-
-    fn from_fields(fields: &BTreeMap<String, JsonScalar>) -> Result<Self, String> {
-        let interactions = get_u64(fields, "interactions")?;
-        let outcome = match get_str(fields, "outcome")? {
-            "converged" => RunOutcome::Converged { interactions },
-            "exhausted" => RunOutcome::Exhausted { interactions },
-            other => return Err(format!("unknown outcome {other:?}")),
-        };
-        Ok(FrontierRecord {
-            experiment: get_str(fields, "experiment")?.to_string(),
-            protocol: get_str(fields, "protocol")?.to_string(),
-            backend: get_str(fields, "backend")?.to_string(),
-            n: get_u64(fields, "n")?,
-            trial: get_u64(fields, "trial")?,
-            seed: get_u64(fields, "seed")?,
-            outcome,
-            wall_s: get_f64(fields, "wall_s")?,
-            support: get_opt_u64(fields, "support")?,
-            leaders: get_opt_u64(fields, "leaders")?,
-        })
-    }
-}
-
-/// One within-run trajectory checkpoint (`kind = "timeline"`, schema v4),
-/// emitted by `ssle simulate --timeline`. A run's timeline is the sequence
-/// of its checkpoint lines ordered by `interactions`; see
-/// [`crate::timeline`] for how checkpoints are decimated to a bounded
-/// count. The flat `phases` string encodes the per-phase occupancy map as
-/// `name:count,name:count` (sorted by name) because the record reader is
-/// deliberately scalar-only.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimelineRecord {
-    /// Name of the experiment that produced this record (e.g. `"simulate"`).
-    pub experiment: String,
-    /// Protocol short-name (e.g. `"ciw"`, `"oss"`, `"sublinear"`).
-    pub protocol: String,
-    /// Simulation backend that executed the run (`"agents"` / `"counts"`).
-    pub backend: String,
-    /// Population size.
-    pub n: u64,
-    /// Trial index within the experiment.
-    pub trial: u64,
-    /// Base seed of the experiment.
-    pub seed: u64,
-    /// Interaction count the checkpoint was taken at.
-    pub interactions: u64,
-    /// Number of agents outputting leader (rank 1) at the checkpoint.
-    pub leaders: u64,
-    /// Number of ranks held by exactly one agent; equals `n` when ranked.
-    pub ranks_ok: u64,
-    /// Distinct states at the checkpoint (count backend only).
-    pub support: Option<u64>,
-    /// Flat `name:count,name:count` phase-occupancy encoding, absent for
-    /// protocols without phase structure.
-    pub phases: Option<String>,
 }
 
 impl TimelineRecord {
@@ -544,140 +963,8 @@ impl TimelineRecord {
     ///
     /// Returns a description of the malformed entry.
     pub fn phase_counts(&self) -> Result<Vec<(String, u64)>, String> {
-        let Some(text) = &self.phases else {
-            return Ok(Vec::new());
-        };
-        text.split(',')
-            .map(|entry| {
-                let (name, count) = entry
-                    .rsplit_once(':')
-                    .ok_or_else(|| format!("phase entry {entry:?} has no ':'"))?;
-                let count: u64 =
-                    count.parse().map_err(|_| format!("phase entry {entry:?} has a bad count"))?;
-                Ok((name.to_string(), count))
-            })
-            .collect()
+        decode_pairs(self.phases.as_deref(), "phase")
     }
-
-    /// Serializes to a single-line JSON object.
-    pub fn to_json(&self) -> String {
-        let mut obj = JsonObject::new();
-        obj.field_u64("v", SCHEMA_VERSION as u64);
-        obj.field_str("kind", "timeline");
-        obj.field_str("experiment", &self.experiment);
-        obj.field_str("protocol", &self.protocol);
-        obj.field_str("backend", &self.backend);
-        obj.field_u64("n", self.n);
-        obj.field_u64("trial", self.trial);
-        obj.field_u64("seed", self.seed);
-        obj.field_u64("interactions", self.interactions);
-        obj.field_f64("parallel_time", self.parallel_time());
-        obj.field_u64("leaders", self.leaders);
-        obj.field_u64("ranks_ok", self.ranks_ok);
-        match self.support {
-            Some(s) => obj.field_u64("support", s),
-            None => obj.field_null("support"),
-        };
-        match &self.phases {
-            Some(p) => obj.field_str("phases", p),
-            None => obj.field_null("phases"),
-        };
-        obj.finish()
-    }
-
-    /// Parses a timeline record from one JSONL line.
-    pub fn from_json(line: &str) -> Result<Self, String> {
-        let fields = parse_flat_json(line)?;
-        check_version(&fields)?;
-        match record_kind(&fields)? {
-            "timeline" => {}
-            other => return Err(format!("expected a timeline record, got kind {other:?}")),
-        }
-        Self::from_fields(&fields)
-    }
-
-    fn from_fields(fields: &BTreeMap<String, JsonScalar>) -> Result<Self, String> {
-        let phases = match fields.get("phases") {
-            None | Some(JsonScalar::Null) => None,
-            Some(JsonScalar::Str(s)) => Some(s.clone()),
-            Some(other) => {
-                return Err(format!("field \"phases\": expected string or null, got {other:?}"))
-            }
-        };
-        Ok(TimelineRecord {
-            experiment: get_str(fields, "experiment")?.to_string(),
-            protocol: get_str(fields, "protocol")?.to_string(),
-            backend: get_str(fields, "backend")?.to_string(),
-            n: get_u64(fields, "n")?,
-            trial: get_u64(fields, "trial")?,
-            seed: get_u64(fields, "seed")?,
-            interactions: get_u64(fields, "interactions")?,
-            leaders: get_u64(fields, "leaders")?,
-            ranks_ok: get_u64(fields, "ranks_ok")?,
-            support: get_opt_u64(fields, "support")?,
-            phases,
-        })
-    }
-}
-
-/// One engine-telemetry summary (`kind = "metrics"`, schema v5), emitted by
-/// `ssle simulate/soak --metrics` and the `perf_baseline` bench. Where every
-/// other record describes what the *protocol* did, a metrics record
-/// describes what the *simulator* did: batch sizes, exact-fallback and
-/// memo-hit counters, compactions, RNG draws, and coarse per-section wall
-/// time (see [`crate::metrics`]). `trial = None` marks a merged cross-trial
-/// row. The flat `batch_hist` string encodes the log-bucketed batch-size
-/// histogram as `bound:count,…` (overflow bucket as `inf:count`) because the
-/// record reader is deliberately scalar-only.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsRecord {
-    /// Name of the experiment that produced this record (e.g. `"simulate"`).
-    pub experiment: String,
-    /// Protocol short-name (e.g. `"ciw"`, `"oss"`, `"epidemic"`).
-    pub protocol: String,
-    /// Simulation backend that executed the run (`"agents"` / `"counts"`).
-    pub backend: String,
-    /// Population size.
-    pub n: u64,
-    /// Trial index, or `None` for a merged cross-trial row.
-    pub trial: Option<u64>,
-    /// Base seed of the experiment.
-    pub seed: u64,
-    /// Wall-clock seconds of the summarized run(s).
-    pub wall_s: f64,
-    /// Total interactions performed.
-    pub interactions: u64,
-    /// Collision-free batches completed (counts backend).
-    pub batches: u64,
-    /// Interactions performed inside collision-free batches.
-    pub batched_pairs: u64,
-    /// Interactions that went through the exact per-interaction fallback.
-    pub exact_steps: u64,
-    /// Uniform draws consumed from the execution RNG.
-    pub rng_draws: u64,
-    /// Memoized-transition lookups that hit.
-    pub memo_hits: u64,
-    /// Memoized-transition lookups that missed.
-    pub memo_misses: u64,
-    /// CountConfig compactions performed.
-    pub compactions: u64,
-    /// Distinct live states after the most recent compaction (0 = never
-    /// compacted).
-    pub support: u64,
-    /// Raw count-table length after the most recent compaction.
-    pub raw_len: u64,
-    /// Batch-boundary flushes observed.
-    pub flushes: u64,
-    /// Flat `bound:count,…` batch-size histogram, absent when no batch ran.
-    pub batch_hist: Option<String>,
-    /// Wall seconds in the sampling section (schedule draws).
-    pub sample_s: f64,
-    /// Wall seconds in the transition section (applying interactions).
-    pub transition_s: f64,
-    /// Wall seconds in the probe section (convergence checks).
-    pub probe_s: f64,
-    /// Wall seconds in the observe section (snapshots, observers).
-    pub observe_s: f64,
 }
 
 impl MetricsRecord {
@@ -703,11 +990,7 @@ impl MetricsRecord {
 
     /// Interactions per wall-clock second (0 if no wall time was recorded).
     pub fn interactions_per_second(&self) -> f64 {
-        if self.wall_s > 0.0 {
-            self.interactions as f64 / self.wall_s
-        } else {
-            0.0
-        }
+        per_second(self.interactions, self.wall_s)
     }
 
     /// Decodes the flat `batch_hist` string back into
@@ -717,819 +1000,26 @@ impl MetricsRecord {
     ///
     /// Returns a description of the malformed entry.
     pub fn batch_hist_counts(&self) -> Result<Vec<(String, u64)>, String> {
-        let Some(text) = &self.batch_hist else {
-            return Ok(Vec::new());
-        };
-        text.split(',')
-            .map(|entry| {
-                let (bound, count) = entry
-                    .rsplit_once(':')
-                    .ok_or_else(|| format!("batch_hist entry {entry:?} has no ':'"))?;
-                let count: u64 = count
-                    .parse()
-                    .map_err(|_| format!("batch_hist entry {entry:?} has a bad count"))?;
-                Ok((bound.to_string(), count))
-            })
-            .collect()
+        decode_pairs(self.batch_hist.as_deref(), "batch_hist")
     }
-
-    /// Serializes to a single-line JSON object.
-    pub fn to_json(&self) -> String {
-        let mut obj = JsonObject::new();
-        obj.field_u64("v", SCHEMA_VERSION as u64);
-        obj.field_str("kind", "metrics");
-        obj.field_str("experiment", &self.experiment);
-        obj.field_str("protocol", &self.protocol);
-        obj.field_str("backend", &self.backend);
-        obj.field_u64("n", self.n);
-        match self.trial {
-            Some(t) => obj.field_u64("trial", t),
-            None => obj.field_null("trial"),
-        };
-        obj.field_u64("seed", self.seed);
-        obj.field_f64("wall_s", self.wall_s);
-        obj.field_u64("interactions", self.interactions);
-        obj.field_f64("ips", self.interactions_per_second());
-        obj.field_u64("batches", self.batches);
-        obj.field_u64("batched_pairs", self.batched_pairs);
-        obj.field_u64("exact_steps", self.exact_steps);
-        obj.field_u64("rng_draws", self.rng_draws);
-        obj.field_u64("memo_hits", self.memo_hits);
-        obj.field_u64("memo_misses", self.memo_misses);
-        obj.field_u64("compactions", self.compactions);
-        obj.field_u64("support", self.support);
-        obj.field_u64("raw_len", self.raw_len);
-        obj.field_u64("flushes", self.flushes);
-        match &self.batch_hist {
-            Some(h) => obj.field_str("batch_hist", h),
-            None => obj.field_null("batch_hist"),
-        };
-        obj.field_f64("sample_s", self.sample_s);
-        obj.field_f64("transition_s", self.transition_s);
-        obj.field_f64("probe_s", self.probe_s);
-        obj.field_f64("observe_s", self.observe_s);
-        obj.finish()
-    }
-
-    /// Parses a metrics record from one JSONL line.
-    pub fn from_json(line: &str) -> Result<Self, String> {
-        let fields = parse_flat_json(line)?;
-        check_version(&fields)?;
-        match record_kind(&fields)? {
-            "metrics" => {}
-            other => return Err(format!("expected a metrics record, got kind {other:?}")),
-        }
-        Self::from_fields(&fields)
-    }
-
-    fn from_fields(fields: &BTreeMap<String, JsonScalar>) -> Result<Self, String> {
-        let batch_hist = match fields.get("batch_hist") {
-            None | Some(JsonScalar::Null) => None,
-            Some(JsonScalar::Str(s)) => Some(s.clone()),
-            Some(other) => {
-                return Err(format!("field \"batch_hist\": expected string or null, got {other:?}"))
-            }
-        };
-        Ok(MetricsRecord {
-            experiment: get_str(fields, "experiment")?.to_string(),
-            protocol: get_str(fields, "protocol")?.to_string(),
-            backend: get_str(fields, "backend")?.to_string(),
-            n: get_u64(fields, "n")?,
-            trial: get_opt_u64(fields, "trial")?,
-            seed: get_u64(fields, "seed")?,
-            wall_s: get_f64(fields, "wall_s")?,
-            interactions: get_u64(fields, "interactions")?,
-            batches: get_u64(fields, "batches")?,
-            batched_pairs: get_u64(fields, "batched_pairs")?,
-            exact_steps: get_u64(fields, "exact_steps")?,
-            rng_draws: get_u64(fields, "rng_draws")?,
-            memo_hits: get_u64(fields, "memo_hits")?,
-            memo_misses: get_u64(fields, "memo_misses")?,
-            compactions: get_u64(fields, "compactions")?,
-            support: get_u64(fields, "support")?,
-            raw_len: get_u64(fields, "raw_len")?,
-            flushes: get_u64(fields, "flushes")?,
-            batch_hist,
-            sample_s: get_f64(fields, "sample_s")?,
-            transition_s: get_f64(fields, "transition_s")?,
-            probe_s: get_f64(fields, "probe_s")?,
-            observe_s: get_f64(fields, "observe_s")?,
-        })
-    }
-}
-
-/// One dynamic-population trial (`kind = "churn"`, schema v6), emitted by
-/// `ssle simulate/soak --churn` and the `churn_resilience` bench. Each line
-/// summarizes a whole trial under membership churn and/or Byzantine agents:
-/// how much the population changed, how often the adversary struck, and the
-/// availability/recovery statistics from the shared [`crate::fault`]
-/// recovery clock. Fired membership events additionally appear as ordinary
-/// `"fault"` lines next to their trial, so per-event recovery distributions
-/// stay re-analyzable.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChurnRecord {
-    /// Name of the experiment that produced this record (e.g. `"churn"`).
-    pub experiment: String,
-    /// Protocol short-name (e.g. `"ciw"`, `"oss"`, `"sublinear"`).
-    pub protocol: String,
-    /// Simulation backend that executed the run (`"agents"` / `"counts"`).
-    pub backend: String,
-    /// Population size the protocol was configured for (the size ranking is
-    /// judged against; churn moves the live size away from it).
-    pub n: u64,
-    /// Live population size when the trial ended.
-    pub final_n: u64,
-    /// Depth parameter `H`, if the protocol has one.
-    pub h: Option<u64>,
-    /// Trial index within the experiment.
-    pub trial: u64,
-    /// Base seed of the experiment (per-trial seeds derive from it).
-    pub seed: u64,
-    /// Churn spec string the trial ran under (e.g. `"2.0"` or
-    /// `"join:4@8,leave:4@16"`); `"none"` when only Byzantine agents were
-    /// active.
-    pub churn: String,
-    /// Byzantine fraction `t` in `[0, 1)`.
-    pub byzantine: f64,
-    /// Agents that joined (grew the population) during the trial.
-    pub joins: u64,
-    /// Agents that left (shrank the population) during the trial.
-    pub leaves: u64,
-    /// Agents replaced in place (departure + fresh join, size unchanged).
-    pub replacements: u64,
-    /// Byzantine state overwrites applied during the trial.
-    pub byz_strikes: u64,
-    /// Membership/fault events that opened a recovery clock.
-    pub faults: u64,
-    /// Fraction of observed steps with exactly one leader.
-    pub availability: f64,
-    /// Fraction of observed steps with the full ranking in place.
-    pub ranked_availability: f64,
-    /// Recovery clocks that closed before the trial ended.
-    pub recovered: u64,
-    /// Mean recovery time in parallel time across recovered clocks (`None`
-    /// when nothing recovered).
-    pub mean_recovery_pt: Option<f64>,
-    /// Parallel time of the first stable full ranking, if reached.
-    pub first_ranked_pt: Option<f64>,
-    /// Total interactions executed.
-    pub interactions: u64,
-    /// Total parallel time executed (piecewise `1/n_live` per interaction,
-    /// so it stays meaningful while `n` varies).
-    pub parallel_time: f64,
-    /// Wall-clock seconds the trial took.
-    pub wall_s: f64,
 }
 
 impl ChurnRecord {
     /// Interactions per wall-clock second (0 if no wall time was recorded).
     pub fn interactions_per_second(&self) -> f64 {
-        if self.wall_s > 0.0 {
-            self.interactions as f64 / self.wall_s
-        } else {
-            0.0
-        }
+        per_second(self.interactions, self.wall_s)
     }
-
-    /// Serializes to a single-line JSON object.
-    pub fn to_json(&self) -> String {
-        let mut obj = JsonObject::new();
-        obj.field_u64("v", SCHEMA_VERSION as u64);
-        obj.field_str("kind", "churn");
-        obj.field_str("experiment", &self.experiment);
-        obj.field_str("protocol", &self.protocol);
-        obj.field_str("backend", &self.backend);
-        obj.field_u64("n", self.n);
-        obj.field_u64("final_n", self.final_n);
-        match self.h {
-            Some(h) => obj.field_u64("h", h),
-            None => obj.field_null("h"),
-        };
-        obj.field_u64("trial", self.trial);
-        obj.field_u64("seed", self.seed);
-        obj.field_str("churn", &self.churn);
-        obj.field_f64("byzantine", self.byzantine);
-        obj.field_u64("joins", self.joins);
-        obj.field_u64("leaves", self.leaves);
-        obj.field_u64("replacements", self.replacements);
-        obj.field_u64("byz_strikes", self.byz_strikes);
-        obj.field_u64("faults", self.faults);
-        obj.field_f64("availability", self.availability);
-        obj.field_f64("ranked_availability", self.ranked_availability);
-        obj.field_u64("recovered", self.recovered);
-        match self.mean_recovery_pt {
-            Some(t) => obj.field_f64("mean_recovery_pt", t),
-            None => obj.field_null("mean_recovery_pt"),
-        };
-        match self.first_ranked_pt {
-            Some(t) => obj.field_f64("first_ranked_pt", t),
-            None => obj.field_null("first_ranked_pt"),
-        };
-        obj.field_u64("interactions", self.interactions);
-        obj.field_f64("parallel_time", self.parallel_time);
-        obj.field_f64("wall_s", self.wall_s);
-        obj.field_f64("ips", self.interactions_per_second());
-        obj.finish()
-    }
-
-    /// Parses a churn record from one JSONL line.
-    pub fn from_json(line: &str) -> Result<Self, String> {
-        let fields = parse_flat_json(line)?;
-        check_version(&fields)?;
-        match record_kind(&fields)? {
-            "churn" => {}
-            other => return Err(format!("expected a churn record, got kind {other:?}")),
-        }
-        Self::from_fields(&fields)
-    }
-
-    fn from_fields(fields: &BTreeMap<String, JsonScalar>) -> Result<Self, String> {
-        Ok(ChurnRecord {
-            experiment: get_str(fields, "experiment")?.to_string(),
-            protocol: get_str(fields, "protocol")?.to_string(),
-            backend: get_str(fields, "backend")?.to_string(),
-            n: get_u64(fields, "n")?,
-            final_n: get_u64(fields, "final_n")?,
-            h: get_opt_u64(fields, "h")?,
-            trial: get_u64(fields, "trial")?,
-            seed: get_u64(fields, "seed")?,
-            churn: get_str(fields, "churn")?.to_string(),
-            byzantine: get_f64(fields, "byzantine")?,
-            joins: get_u64(fields, "joins")?,
-            leaves: get_u64(fields, "leaves")?,
-            replacements: get_u64(fields, "replacements")?,
-            byz_strikes: get_u64(fields, "byz_strikes")?,
-            faults: get_u64(fields, "faults")?,
-            availability: get_f64(fields, "availability")?,
-            ranked_availability: get_f64(fields, "ranked_availability")?,
-            recovered: get_u64(fields, "recovered")?,
-            mean_recovery_pt: get_opt_f64(fields, "mean_recovery_pt")?,
-            first_ranked_pt: get_opt_f64(fields, "first_ranked_pt")?,
-            interactions: get_u64(fields, "interactions")?,
-            parallel_time: get_f64(fields, "parallel_time")?,
-            wall_s: get_f64(fields, "wall_s")?,
-        })
-    }
-}
-
-fn get_opt_f64(fields: &BTreeMap<String, JsonScalar>, key: &str) -> Result<Option<f64>, String> {
-    match fields.get(key) {
-        None | Some(JsonScalar::Null) => Ok(None),
-        Some(JsonScalar::Num(_)) => Ok(Some(get_f64(fields, key)?)),
-        Some(other) => Err(format!("field {key:?}: expected number or null, got {other:?}")),
-    }
-}
-
-/// One service-throughput measurement (`kind = "service"`, schema v7),
-/// emitted by the `service_throughput` bench: `clients` concurrent wire
-/// clients hammering one `ssle serve` daemon hosting a population of size
-/// `n`, mixing queries and event injections. Latency is per complete
-/// request (write line, read response) in microseconds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServiceRecord {
-    /// Name of the experiment that produced this record (e.g. `"service"`).
-    pub experiment: String,
-    /// Protocol short-name the hosted population runs.
-    pub protocol: String,
-    /// Simulation backend hosting the population (`"agents"` / `"counts"`).
-    pub backend: String,
-    /// Population size of the hosted population.
-    pub n: u64,
-    /// Concurrent client connections issuing requests.
-    pub clients: u64,
-    /// Total requests completed across all clients.
-    pub requests: u64,
-    /// Sustained requests per second across the whole run.
-    pub rps: f64,
-    /// Median per-request latency, microseconds.
-    pub p50_us: f64,
-    /// 99th-percentile per-request latency, microseconds.
-    pub p99_us: f64,
-    /// Base seed of the bench cell.
-    pub seed: u64,
-    /// Wall-clock seconds the cell took.
-    pub wall_s: f64,
-}
-
-impl ServiceRecord {
-    /// Serializes to a single-line JSON object.
-    pub fn to_json(&self) -> String {
-        let mut obj = JsonObject::new();
-        obj.field_u64("v", SCHEMA_VERSION as u64);
-        obj.field_str("kind", "service");
-        obj.field_str("experiment", &self.experiment);
-        obj.field_str("protocol", &self.protocol);
-        obj.field_str("backend", &self.backend);
-        obj.field_u64("n", self.n);
-        obj.field_u64("clients", self.clients);
-        obj.field_u64("requests", self.requests);
-        obj.field_f64("rps", self.rps);
-        obj.field_f64("p50_us", self.p50_us);
-        obj.field_f64("p99_us", self.p99_us);
-        obj.field_u64("seed", self.seed);
-        obj.field_f64("wall_s", self.wall_s);
-        obj.finish()
-    }
-
-    /// Parses a service record from one JSONL line.
-    pub fn from_json(line: &str) -> Result<Self, String> {
-        let fields = parse_flat_json(line)?;
-        check_version(&fields)?;
-        match record_kind(&fields)? {
-            "service" => {}
-            other => return Err(format!("expected a service record, got kind {other:?}")),
-        }
-        Self::from_fields(&fields)
-    }
-
-    fn from_fields(fields: &BTreeMap<String, JsonScalar>) -> Result<Self, String> {
-        Ok(ServiceRecord {
-            experiment: get_str(fields, "experiment")?.to_string(),
-            protocol: get_str(fields, "protocol")?.to_string(),
-            backend: get_str(fields, "backend")?.to_string(),
-            n: get_u64(fields, "n")?,
-            clients: get_u64(fields, "clients")?,
-            requests: get_u64(fields, "requests")?,
-            rps: get_f64(fields, "rps")?,
-            p50_us: get_f64(fields, "p50_us")?,
-            p99_us: get_f64(fields, "p99_us")?,
-            seed: get_u64(fields, "seed")?,
-            wall_s: get_f64(fields, "wall_s")?,
-        })
-    }
-}
-
-/// One crash-recovery measurement (`kind = "crash"`, schema v8), emitted by
-/// the `crash_recovery` bench: a journaled population is driven through
-/// `events_applied` mutating commands, its journal is truncated to the bytes
-/// durable at a simulated `kill -9` (the `kill_point` fraction of the run),
-/// and recovery replays snapshot + journal tail. `lost_events` is the
-/// tail the crash discarded — bounded by the fsync policy's window — and
-/// `replay_identical` records whether the recovered population was
-/// bit-identical to a never-crashed replay of the surviving prefix.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CrashRecord {
-    /// Name of the experiment that produced this record (e.g. `"crash"`).
-    pub experiment: String,
-    /// Protocol short-name the journaled population runs.
-    pub protocol: String,
-    /// Simulation backend hosting the population (`"agents"` / `"counts"`).
-    pub backend: String,
-    /// Population size of the journaled population.
-    pub n: u64,
-    /// Fsync policy spec (`"always"`, `"every:N"`, `"never"`).
-    pub fsync: String,
-    /// Fraction of the command stream after which the crash fired.
-    pub kill_point: f64,
-    /// Mutating commands applied (and journaled) before the crash.
-    pub events_applied: u64,
-    /// Commands recovered from snapshot + journal tail after the crash.
-    pub events_recovered: u64,
-    /// Commands lost to the crash (`events_applied - events_recovered`).
-    pub lost_events: u64,
-    /// Wall-clock milliseconds the boot-time recovery took.
-    pub recovery_ms: f64,
-    /// Whether the recovered state matched a never-crashed replay of the
-    /// surviving prefix bit-for-bit (snapshot-serialization equality).
-    pub replay_identical: bool,
-    /// Base seed of the bench cell.
-    pub seed: u64,
-    /// Wall-clock seconds the cell took.
-    pub wall_s: f64,
-}
-
-impl CrashRecord {
-    /// Serializes to a single-line JSON object.
-    pub fn to_json(&self) -> String {
-        let mut obj = JsonObject::new();
-        obj.field_u64("v", SCHEMA_VERSION as u64);
-        obj.field_str("kind", "crash");
-        obj.field_str("experiment", &self.experiment);
-        obj.field_str("protocol", &self.protocol);
-        obj.field_str("backend", &self.backend);
-        obj.field_u64("n", self.n);
-        obj.field_str("fsync", &self.fsync);
-        obj.field_f64("kill_point", self.kill_point);
-        obj.field_u64("events_applied", self.events_applied);
-        obj.field_u64("events_recovered", self.events_recovered);
-        obj.field_u64("lost_events", self.lost_events);
-        obj.field_f64("recovery_ms", self.recovery_ms);
-        obj.field_bool("replay_identical", self.replay_identical);
-        obj.field_u64("seed", self.seed);
-        obj.field_f64("wall_s", self.wall_s);
-        obj.finish()
-    }
-
-    /// Parses a crash record from one JSONL line.
-    pub fn from_json(line: &str) -> Result<Self, String> {
-        let fields = parse_flat_json(line)?;
-        check_version(&fields)?;
-        match record_kind(&fields)? {
-            "crash" => {}
-            other => return Err(format!("expected a crash record, got kind {other:?}")),
-        }
-        Self::from_fields(&fields)
-    }
-
-    fn from_fields(fields: &BTreeMap<String, JsonScalar>) -> Result<Self, String> {
-        Ok(CrashRecord {
-            experiment: get_str(fields, "experiment")?.to_string(),
-            protocol: get_str(fields, "protocol")?.to_string(),
-            backend: get_str(fields, "backend")?.to_string(),
-            n: get_u64(fields, "n")?,
-            fsync: get_str(fields, "fsync")?.to_string(),
-            kill_point: get_f64(fields, "kill_point")?,
-            events_applied: get_u64(fields, "events_applied")?,
-            events_recovered: get_u64(fields, "events_recovered")?,
-            lost_events: get_u64(fields, "lost_events")?,
-            recovery_ms: get_f64(fields, "recovery_ms")?,
-            replay_identical: get_bool(fields, "replay_identical")?,
-            seed: get_u64(fields, "seed")?,
-            wall_s: get_f64(fields, "wall_s")?,
-        })
-    }
-}
-
-/// One per-population liveness row (`kind = "health"`, schema v8), as
-/// reported by the `health` wire command of `ssle serve`: protocol identity,
-/// live-agent count, journal position (`seq`) versus the last snapshot
-/// (`snapshot_seq`), the resulting replay `lag`, and how many times the
-/// watchdog has quarantined-and-healed a poisoned population since boot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthRecord {
-    /// Name of the experiment that produced this record (e.g. `"health"`).
-    pub experiment: String,
-    /// Served population name.
-    pub pop: String,
-    /// Protocol short-name the population runs.
-    pub protocol: String,
-    /// Simulation backend (`"agents"` / `"counts"`).
-    pub backend: String,
-    /// Population size.
-    pub n: u64,
-    /// Live (non-tombstoned) agents.
-    pub live: u64,
-    /// Interactions simulated so far.
-    pub interactions: u64,
-    /// Whether the population currently has a unique ranked leader.
-    pub ranked: bool,
-    /// Journal sequence number of the last applied mutating command.
-    pub seq: u64,
-    /// Journal sequence number covered by the last snapshot.
-    pub snapshot_seq: u64,
-    /// Journaled-but-unsnapshotted commands (`seq - snapshot_seq`): the
-    /// replay work a crash-restart would have to redo.
-    pub lag: u64,
-    /// Fsync policy spec the journal runs under (`"none"` if undurable).
-    pub fsync: String,
-    /// Poison-quarantine heals performed by the registry since boot.
-    pub quarantines: u64,
-}
-
-impl HealthRecord {
-    /// Serializes to a single-line JSON object.
-    pub fn to_json(&self) -> String {
-        let mut obj = JsonObject::new();
-        obj.field_u64("v", SCHEMA_VERSION as u64);
-        obj.field_str("kind", "health");
-        obj.field_str("experiment", &self.experiment);
-        obj.field_str("pop", &self.pop);
-        obj.field_str("protocol", &self.protocol);
-        obj.field_str("backend", &self.backend);
-        obj.field_u64("n", self.n);
-        obj.field_u64("live", self.live);
-        obj.field_u64("interactions", self.interactions);
-        obj.field_bool("ranked", self.ranked);
-        obj.field_u64("seq", self.seq);
-        obj.field_u64("snapshot_seq", self.snapshot_seq);
-        obj.field_u64("lag", self.lag);
-        obj.field_str("fsync", &self.fsync);
-        obj.field_u64("quarantines", self.quarantines);
-        obj.finish()
-    }
-
-    /// Parses a health record from one JSONL line.
-    pub fn from_json(line: &str) -> Result<Self, String> {
-        let fields = parse_flat_json(line)?;
-        check_version(&fields)?;
-        match record_kind(&fields)? {
-            "health" => {}
-            other => return Err(format!("expected a health record, got kind {other:?}")),
-        }
-        Self::from_fields(&fields)
-    }
-
-    fn from_fields(fields: &BTreeMap<String, JsonScalar>) -> Result<Self, String> {
-        Ok(HealthRecord {
-            experiment: get_str(fields, "experiment")?.to_string(),
-            pop: get_str(fields, "pop")?.to_string(),
-            protocol: get_str(fields, "protocol")?.to_string(),
-            backend: get_str(fields, "backend")?.to_string(),
-            n: get_u64(fields, "n")?,
-            live: get_u64(fields, "live")?,
-            interactions: get_u64(fields, "interactions")?,
-            ranked: get_bool(fields, "ranked")?,
-            seq: get_u64(fields, "seq")?,
-            snapshot_seq: get_u64(fields, "snapshot_seq")?,
-            lag: get_u64(fields, "lag")?,
-            fsync: get_str(fields, "fsync")?.to_string(),
-            quarantines: get_u64(fields, "quarantines")?,
-        })
-    }
-}
-
-/// One per-wire-command latency aggregate (`kind = "server_stats"`,
-/// schema v9), emitted by the `stats` wire command from the daemon's
-/// request tracer. `count`/`rps` cover the window since boot or the last
-/// `stats` reset; the `*_us` span fields are *mean* per-request
-/// microseconds attributing where a request's time went; `hist` is the
-/// end-to-end latency histogram in the shared `bound:count,…,inf:count`
-/// log₂-bucket encoding (bounds in microseconds), empty when no request
-/// landed. The pool/journal gauges (`busy`, `queue_depth`, `journal_lag`)
-/// are daemon-global, repeated on every row of one `stats` response.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServerStatsRecord {
-    /// Name of the experiment/run that produced this record.
-    pub experiment: String,
-    /// The wire command this row aggregates (`"other"` for the rest).
-    pub cmd: String,
-    /// Requests served in the window.
-    pub count: u64,
-    /// Requests answered with `ok:false`.
-    pub errors: u64,
-    /// Sustained requests per second over the window.
-    pub rps: f64,
-    /// Median end-to-end latency (histogram bucket upper bound), µs.
-    pub p50_us: f64,
-    /// 95th-percentile end-to-end latency, µs.
-    pub p95_us: f64,
-    /// 99th-percentile end-to-end latency, µs.
-    pub p99_us: f64,
-    /// Mean end-to-end latency, µs.
-    pub mean_us: f64,
-    /// Mean pool-queue wait per request, µs.
-    pub queue_us: f64,
-    /// Mean request-parse time per request, µs.
-    pub parse_us: f64,
-    /// Mean registry-map lock wait per request, µs.
-    pub registry_lock_us: f64,
-    /// Mean per-population lock wait per request, µs.
-    pub pop_lock_us: f64,
-    /// Mean engine work per request, µs.
-    pub engine_us: f64,
-    /// Mean journal append (excluding fsync) per request, µs.
-    pub journal_us: f64,
-    /// Mean journal fsync per request, µs.
-    pub fsync_us: f64,
-    /// Mean response write+flush per request, µs.
-    pub write_us: f64,
-    /// End-to-end latency histogram (`bound:count,…`); empty if massless.
-    pub hist: String,
-    /// Seconds the window covers.
-    pub window_s: f64,
-    /// Busy-envelope refusals at the accept loop (daemon-global).
-    pub busy: u64,
-    /// Pool queue depth at the last accept (daemon-global gauge).
-    pub queue_depth: u64,
-    /// Requests past the `--slow-ms` threshold (daemon-global).
-    pub slow: u64,
-    /// Max journaled-but-unsnapshotted lag across populations
-    /// (daemon-global).
-    pub journal_lag: u64,
-}
-
-impl ServerStatsRecord {
-    /// Serializes to a single-line JSON object.
-    pub fn to_json(&self) -> String {
-        let mut obj = JsonObject::new();
-        obj.field_u64("v", SCHEMA_VERSION as u64);
-        obj.field_str("kind", "server_stats");
-        obj.field_str("experiment", &self.experiment);
-        obj.field_str("cmd", &self.cmd);
-        obj.field_u64("count", self.count);
-        obj.field_u64("errors", self.errors);
-        obj.field_f64("rps", self.rps);
-        obj.field_f64("p50_us", self.p50_us);
-        obj.field_f64("p95_us", self.p95_us);
-        obj.field_f64("p99_us", self.p99_us);
-        obj.field_f64("mean_us", self.mean_us);
-        obj.field_f64("queue_us", self.queue_us);
-        obj.field_f64("parse_us", self.parse_us);
-        obj.field_f64("registry_lock_us", self.registry_lock_us);
-        obj.field_f64("pop_lock_us", self.pop_lock_us);
-        obj.field_f64("engine_us", self.engine_us);
-        obj.field_f64("journal_us", self.journal_us);
-        obj.field_f64("fsync_us", self.fsync_us);
-        obj.field_f64("write_us", self.write_us);
-        obj.field_str("hist", &self.hist);
-        obj.field_f64("window_s", self.window_s);
-        obj.field_u64("busy", self.busy);
-        obj.field_u64("queue_depth", self.queue_depth);
-        obj.field_u64("slow", self.slow);
-        obj.field_u64("journal_lag", self.journal_lag);
-        obj.finish()
-    }
-
-    /// Parses a server-stats record from one JSONL line.
-    pub fn from_json(line: &str) -> Result<Self, String> {
-        let fields = parse_flat_json(line)?;
-        check_version(&fields)?;
-        match record_kind(&fields)? {
-            "server_stats" => {}
-            other => return Err(format!("expected a server_stats record, got kind {other:?}")),
-        }
-        Self::from_fields(&fields)
-    }
-
-    fn from_fields(fields: &BTreeMap<String, JsonScalar>) -> Result<Self, String> {
-        Ok(ServerStatsRecord {
-            experiment: get_str(fields, "experiment")?.to_string(),
-            cmd: get_str(fields, "cmd")?.to_string(),
-            count: get_u64(fields, "count")?,
-            errors: get_u64(fields, "errors")?,
-            rps: get_f64(fields, "rps")?,
-            p50_us: get_f64(fields, "p50_us")?,
-            p95_us: get_f64(fields, "p95_us")?,
-            p99_us: get_f64(fields, "p99_us")?,
-            mean_us: get_f64(fields, "mean_us")?,
-            queue_us: get_f64(fields, "queue_us")?,
-            parse_us: get_f64(fields, "parse_us")?,
-            registry_lock_us: get_f64(fields, "registry_lock_us")?,
-            pop_lock_us: get_f64(fields, "pop_lock_us")?,
-            engine_us: get_f64(fields, "engine_us")?,
-            journal_us: get_f64(fields, "journal_us")?,
-            fsync_us: get_f64(fields, "fsync_us")?,
-            write_us: get_f64(fields, "write_us")?,
-            hist: get_str(fields, "hist")?.to_string(),
-            window_s: get_f64(fields, "window_s")?,
-            busy: get_u64(fields, "busy")?,
-            queue_depth: get_u64(fields, "queue_depth")?,
-            slow: get_u64(fields, "slow")?,
-            journal_lag: get_u64(fields, "journal_lag")?,
-        })
-    }
-}
-
-/// One request trace (`kind = "trace"`, schema v9) from the daemon's
-/// flight recorder — dumped to JSONL on worker panic/quarantine or via
-/// the `dump-trace` admin command. Span fields are microseconds; spans
-/// are non-overlapping (`journal_us` excludes the fsync it triggered),
-/// so they sum to at most `total_us`. `id` is the client request id
-/// (retry dedup), letting retried requests correlate across traces.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceRecord {
-    /// The wire command (`"other"` for unparseable requests).
-    pub cmd: String,
-    /// Target population name; empty for population-less commands.
-    pub pop: String,
-    /// Client request id; empty when the client sent none.
-    pub id: String,
-    /// Whether the response carried `ok:true`.
-    pub ok: bool,
-    /// End-to-end microseconds (queue wait through response flush).
-    pub total_us: u64,
-    /// Pool-queue wait, µs (connection's first request only).
-    pub queue_us: u64,
-    /// Request-line parse, µs.
-    pub parse_us: u64,
-    /// Registry-map lock wait, µs.
-    pub registry_lock_us: u64,
-    /// Per-population lock wait, µs.
-    pub pop_lock_us: u64,
-    /// Engine work under the cell lock, µs.
-    pub engine_us: u64,
-    /// Journal append excluding fsync, µs.
-    pub journal_us: u64,
-    /// Journal fsync, µs.
-    pub fsync_us: u64,
-    /// Response write+flush, µs.
-    pub write_us: u64,
-}
-
-impl TraceRecord {
-    /// Serializes to a single-line JSON object.
-    pub fn to_json(&self) -> String {
-        let mut obj = JsonObject::new();
-        obj.field_u64("v", SCHEMA_VERSION as u64);
-        obj.field_str("kind", "trace");
-        obj.field_str("cmd", &self.cmd);
-        obj.field_str("pop", &self.pop);
-        obj.field_str("id", &self.id);
-        obj.field_bool("ok", self.ok);
-        obj.field_u64("total_us", self.total_us);
-        obj.field_u64("queue_us", self.queue_us);
-        obj.field_u64("parse_us", self.parse_us);
-        obj.field_u64("registry_lock_us", self.registry_lock_us);
-        obj.field_u64("pop_lock_us", self.pop_lock_us);
-        obj.field_u64("engine_us", self.engine_us);
-        obj.field_u64("journal_us", self.journal_us);
-        obj.field_u64("fsync_us", self.fsync_us);
-        obj.field_u64("write_us", self.write_us);
-        obj.finish()
-    }
-
-    /// Parses a trace record from one JSONL line.
-    pub fn from_json(line: &str) -> Result<Self, String> {
-        let fields = parse_flat_json(line)?;
-        check_version(&fields)?;
-        match record_kind(&fields)? {
-            "trace" => {}
-            other => return Err(format!("expected a trace record, got kind {other:?}")),
-        }
-        Self::from_fields(&fields)
-    }
-
-    fn from_fields(fields: &BTreeMap<String, JsonScalar>) -> Result<Self, String> {
-        Ok(TraceRecord {
-            cmd: get_str(fields, "cmd")?.to_string(),
-            pop: get_str(fields, "pop")?.to_string(),
-            id: get_str(fields, "id")?.to_string(),
-            ok: get_bool(fields, "ok")?,
-            total_us: get_u64(fields, "total_us")?,
-            queue_us: get_u64(fields, "queue_us")?,
-            parse_us: get_u64(fields, "parse_us")?,
-            registry_lock_us: get_u64(fields, "registry_lock_us")?,
-            pop_lock_us: get_u64(fields, "pop_lock_us")?,
-            engine_us: get_u64(fields, "engine_us")?,
-            journal_us: get_u64(fields, "journal_us")?,
-            fsync_us: get_u64(fields, "fsync_us")?,
-            write_us: get_u64(fields, "write_us")?,
-        })
-    }
-}
-
-/// One parsed line of a (possibly mixed) JSONL experiment stream.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RecordLine {
-    /// A per-trial record.
-    Trial(RunRecord),
-    /// A per-fault record.
-    Fault(FaultRecord),
-    /// A backend-throughput measurement from the scaling frontier bench.
-    Frontier(FrontierRecord),
-    /// A within-run trajectory checkpoint.
-    Timeline(TimelineRecord),
-    /// An engine-telemetry summary.
-    Metrics(MetricsRecord),
-    /// A dynamic-population (churn / Byzantine) trial summary.
-    Churn(ChurnRecord),
-    /// A service-throughput measurement.
-    Service(ServiceRecord),
-    /// A crash-recovery measurement.
-    Crash(CrashRecord),
-    /// A served-population liveness/journal-lag row.
-    Health(HealthRecord),
-    /// A per-wire-command server latency aggregate.
-    ServerStats(ServerStatsRecord),
-    /// A flight-recorder request trace.
-    Trace(TraceRecord),
 }
 
 impl RecordLine {
     /// Parses one line, dispatching on the `kind` discriminator (absent
     /// `kind` means a v1 trial record).
     pub fn from_json(line: &str) -> Result<Self, String> {
-        let fields = parse_flat_json(line)?;
+        let fields = parse_record(line)?;
         check_version(&fields)?;
         match Self::from_known_fields(&fields)? {
             Some(line) => Ok(line),
             None => Err(format!("unknown record kind {:?}", record_kind(&fields)?)),
-        }
-    }
-
-    /// Dispatches on an already-parsed field map; `Ok(None)` means the
-    /// `kind` is well-formed but unknown to this reader (a future schema).
-    fn from_known_fields(fields: &BTreeMap<String, JsonScalar>) -> Result<Option<Self>, String> {
-        Ok(Some(match record_kind(fields)? {
-            "trial" => RecordLine::Trial(RunRecord::from_fields(fields)?),
-            "fault" => RecordLine::Fault(FaultRecord::from_fields(fields)?),
-            "frontier" => RecordLine::Frontier(FrontierRecord::from_fields(fields)?),
-            "timeline" => RecordLine::Timeline(TimelineRecord::from_fields(fields)?),
-            "metrics" => RecordLine::Metrics(MetricsRecord::from_fields(fields)?),
-            "churn" => RecordLine::Churn(ChurnRecord::from_fields(fields)?),
-            "service" => RecordLine::Service(ServiceRecord::from_fields(fields)?),
-            "crash" => RecordLine::Crash(CrashRecord::from_fields(fields)?),
-            "health" => RecordLine::Health(HealthRecord::from_fields(fields)?),
-            "server_stats" => RecordLine::ServerStats(ServerStatsRecord::from_fields(fields)?),
-            "trace" => RecordLine::Trace(TraceRecord::from_fields(fields)?),
-            _ => return Ok(None),
-        }))
-    }
-
-    /// Serializes back to a single-line JSON object.
-    pub fn to_json(&self) -> String {
-        match self {
-            RecordLine::Trial(r) => r.to_json(),
-            RecordLine::Fault(f) => f.to_json(),
-            RecordLine::Frontier(f) => f.to_json(),
-            RecordLine::Timeline(t) => t.to_json(),
-            RecordLine::Metrics(m) => m.to_json(),
-            RecordLine::Churn(c) => c.to_json(),
-            RecordLine::Service(s) => s.to_json(),
-            RecordLine::Crash(c) => c.to_json(),
-            RecordLine::Health(h) => h.to_json(),
-            RecordLine::ServerStats(s) => s.to_json(),
-            RecordLine::Trace(t) => t.to_json(),
         }
     }
 }
@@ -1555,7 +1045,7 @@ pub fn to_jsonl_mixed(lines: &[RecordLine]) -> String {
 }
 
 /// Parses a JSONL document (blank lines skipped) into **trial** records,
-/// skipping fault and frontier lines — the historical contract of every
+/// skipping every other kind — the historical contract of every
 /// trial-level consumer. Use [`from_jsonl_mixed`] to see the other kinds.
 ///
 /// The error names the offending line number.
@@ -1565,22 +1055,13 @@ pub fn from_jsonl(text: &str) -> Result<Vec<RunRecord>, String> {
         .into_iter()
         .filter_map(|l| match l {
             RecordLine::Trial(r) => Some(r),
-            RecordLine::Fault(_)
-            | RecordLine::Frontier(_)
-            | RecordLine::Timeline(_)
-            | RecordLine::Metrics(_)
-            | RecordLine::Churn(_)
-            | RecordLine::Service(_)
-            | RecordLine::Crash(_)
-            | RecordLine::Health(_)
-            | RecordLine::ServerStats(_)
-            | RecordLine::Trace(_) => None,
+            _ => None,
         })
         .collect())
 }
 
 /// Parses a JSONL document (blank lines skipped) into a mixed stream of
-/// trial and fault records, preserving line order.
+/// records of every kind, preserving line order.
 ///
 /// The error names the offending line number.
 pub fn from_jsonl_mixed(text: &str) -> Result<Vec<RecordLine>, String> {
@@ -1620,8 +1101,8 @@ pub fn from_jsonl_lenient(text: &str) -> Result<LenientParse, String> {
             continue;
         }
         let lineno = idx + 1;
-        let fields = parse_flat_json(line).map_err(|e| format!("line {lineno}: {e}"))?;
-        let version = get_u64(&fields, "v").map_err(|e| format!("line {lineno}: {e}"))?;
+        let fields = parse_record(line).map_err(|e| format!("line {lineno}: {e}"))?;
+        let version: u64 = get(&fields, "v").map_err(|e| format!("line {lineno}: {e}"))?;
         if version > SCHEMA_VERSION as u64 {
             out.skipped.push((lineno, format!("version {version}")));
             continue;
@@ -1642,7 +1123,6 @@ pub fn from_jsonl_lenient(text: &str) -> Result<LenientParse, String> {
     }
     Ok(out)
 }
-
 /// Incremental builder for a single-line JSON object.
 ///
 /// Exists so that the CLI's `--format json` output and [`RunRecord::to_json`]
@@ -1768,6 +1248,26 @@ pub enum JsonScalar {
 /// This is the subset [`RunRecord::to_json`] emits; nested values are
 /// rejected with an error rather than skipped.
 pub fn parse_flat_json(input: &str) -> Result<BTreeMap<String, JsonScalar>, String> {
+    parse_object(input, |raw| {
+        Ok(match raw {
+            Raw::Str(s) => JsonScalar::Str(s),
+            Raw::Num(text) => JsonScalar::Num(parse_number(text)?),
+            Raw::Bool(b) => JsonScalar::Bool(b),
+            Raw::Null => JsonScalar::Null,
+        })
+    })
+}
+
+/// Parses a number's text (as scanned by the parser) into an `f64`.
+fn parse_number(text: &str) -> Result<f64, String> {
+    text.parse::<f64>().map_err(|_| format!("bad number {text:?}"))
+}
+
+/// Parses a flat JSON object, turning each scalar into a `V` with `value`.
+fn parse_object<'a, V>(
+    input: &'a str,
+    mut value: impl FnMut(Raw<'a>) -> Result<V, String>,
+) -> Result<BTreeMap<String, V>, String> {
     let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
     p.skip_ws();
     p.expect(b'{')?;
@@ -1782,8 +1282,8 @@ pub fn parse_flat_json(input: &str) -> Result<BTreeMap<String, JsonScalar>, Stri
             p.skip_ws();
             p.expect(b':')?;
             p.skip_ws();
-            let value = p.parse_scalar()?;
-            map.insert(key, value);
+            let scalar = value(p.parse_scalar()?)?;
+            map.insert(key, scalar);
             p.skip_ws();
             match p.next() {
                 Some(b',') => continue,
@@ -1811,7 +1311,7 @@ struct Parser<'a> {
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
@@ -1890,65 +1390,34 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_scalar(&mut self) -> Result<JsonScalar, String> {
+    /// Parses one scalar; a number comes back as its unparsed text.
+    fn parse_scalar(&mut self) -> Result<Raw<'a>, String> {
         match self.peek() {
-            Some(b'"') => Ok(JsonScalar::Str(self.parse_string()?)),
-            Some(b't') => self.parse_literal("true", JsonScalar::Bool(true)),
-            Some(b'f') => self.parse_literal("false", JsonScalar::Bool(false)),
-            Some(b'n') => self.parse_literal("null", JsonScalar::Null),
+            Some(b'"') => Ok(Raw::Str(self.parse_string()?)),
+            Some(b't') => self.parse_literal("true", Raw::Bool(true)),
+            Some(b'f') => self.parse_literal("false", Raw::Bool(false)),
+            Some(b'n') => self.parse_literal("null", Raw::Null),
             Some(b'{' | b'[') => Err("nested values are not supported".to_string()),
             Some(_) => {
                 let start = self.pos;
                 while matches!(self.peek(), Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')) {
                     self.pos += 1;
                 }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-                text.parse::<f64>().map(JsonScalar::Num).map_err(|_| format!("bad number {text:?}"))
+                let text = std::str::from_utf8(&self.bytes[start..self.pos])
+                    .expect("number characters are ASCII");
+                Ok(Raw::Num(text))
             }
             None => Err("expected a value, got end of input".to_string()),
         }
     }
 
-    fn parse_literal(&mut self, lit: &str, value: JsonScalar) -> Result<JsonScalar, String> {
+    fn parse_literal(&mut self, lit: &str, value: Raw<'a>) -> Result<Raw<'a>, String> {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(value)
         } else {
             Err(format!("expected {lit}"))
         }
-    }
-}
-
-fn get_str<'a>(fields: &'a BTreeMap<String, JsonScalar>, key: &str) -> Result<&'a str, String> {
-    match fields.get(key) {
-        Some(JsonScalar::Str(s)) => Ok(s),
-        Some(other) => Err(format!("field {key:?}: expected string, got {other:?}")),
-        None => Err(format!("missing field {key:?}")),
-    }
-}
-
-fn get_f64(fields: &BTreeMap<String, JsonScalar>, key: &str) -> Result<f64, String> {
-    match fields.get(key) {
-        Some(JsonScalar::Num(x)) => Ok(*x),
-        Some(other) => Err(format!("field {key:?}: expected number, got {other:?}")),
-        None => Err(format!("missing field {key:?}")),
-    }
-}
-
-fn get_u64(fields: &BTreeMap<String, JsonScalar>, key: &str) -> Result<u64, String> {
-    let x = get_f64(fields, key)?;
-    if x >= 0.0 && x.fract() == 0.0 && x <= 2f64.powi(53) {
-        Ok(x as u64)
-    } else {
-        Err(format!("field {key:?}: expected a non-negative integer, got {x}"))
-    }
-}
-
-fn get_bool(fields: &BTreeMap<String, JsonScalar>, key: &str) -> Result<bool, String> {
-    match fields.get(key) {
-        Some(JsonScalar::Bool(b)) => Ok(*b),
-        Some(other) => Err(format!("field {key:?}: expected bool, got {other:?}")),
-        None => Err(format!("missing field {key:?}")),
     }
 }
 
@@ -2449,7 +1918,7 @@ mod tests {
             seq: 73,
             snapshot_seq: 64,
             lag: 9,
-            fsync: "always".to_string(),
+            fsync: Some("always".to_string()),
             quarantines: 1,
         }
     }
@@ -2552,5 +2021,183 @@ mod tests {
         // A known kind with broken fields is a hard error, not a skip.
         let broken = "{\"v\":9,\"kind\":\"churn\",\"experiment\":\"x\"}";
         assert!(from_jsonl_lenient(broken).is_err());
+    }
+
+    fn sample_server_stats_record() -> ServerStatsRecord {
+        ServerStatsRecord {
+            experiment: "serve".to_string(),
+            cmd: "step".to_string(),
+            count: 120,
+            errors: 2,
+            rps: 59.5,
+            p50_us: 256.0,
+            p95_us: 1024.0,
+            p99_us: 2048.0,
+            mean_us: 301.25,
+            queue_us: 1.5,
+            parse_us: 2.25,
+            registry_lock_us: 0.5,
+            pop_lock_us: 3.0,
+            engine_us: 250.0,
+            journal_us: 12.0,
+            fsync_us: 30.0,
+            write_us: 2.0,
+            hist: "256:60,1024:50,inf:10".to_string(),
+            window_s: 2.0,
+            busy: 1,
+            queue_depth: 3,
+            slow: 4,
+            journal_lag: 17,
+        }
+    }
+
+    fn sample_trace_record() -> TraceRecord {
+        TraceRecord {
+            cmd: "step".to_string(),
+            pop: "alpha".to_string(),
+            id: "req-7".to_string(),
+            ok: false,
+            total_us: 900,
+            queue_us: 10,
+            parse_us: 5,
+            registry_lock_us: 1,
+            pop_lock_us: 40,
+            engine_us: 700,
+            journal_us: 60,
+            fsync_us: 80,
+            write_us: 4,
+        }
+    }
+
+    /// Encodes `record` as a line of kind `kind` and checks that both
+    /// decoders and the [`Record`] projection give it back.
+    fn round_trip<R: Record + Clone + PartialEq + std::fmt::Debug>(
+        kind: &str,
+        record: R,
+        wrap: fn(R) -> RecordLine,
+        decode: fn(&str) -> Result<R, String>,
+    ) -> RecordLine {
+        let line = wrap(record.clone());
+        let json = line.to_json();
+        assert!(json.starts_with(&format!("{{\"v\":9,\"kind\":\"{kind}\",")), "{json}");
+        assert_eq!(decode(&json).unwrap(), record);
+        assert_eq!(RecordLine::from_json(&json).unwrap(), line, "{json}");
+        assert_eq!(R::of_line(&line), Some(&record));
+        line
+    }
+
+    /// One sample of every kind, each through both decoders and its
+    /// [`Record`] projection.
+    #[test]
+    fn every_kind_round_trips() {
+        let robust = sample_record().with_robustness(
+            Some("starve:4:256".to_string()),
+            Some(0.25),
+            Some(256),
+        );
+        let undurable = HealthRecord { fsync: None, ..sample_health_record() };
+        let samples = vec![
+            round_trip("trial", robust, RecordLine::Trial, RunRecord::from_json),
+            round_trip("fault", sample_fault_record(), RecordLine::Fault, FaultRecord::from_json),
+            round_trip(
+                "frontier",
+                sample_frontier_record(),
+                RecordLine::Frontier,
+                FrontierRecord::from_json,
+            ),
+            round_trip(
+                "timeline",
+                sample_timeline_record(),
+                RecordLine::Timeline,
+                TimelineRecord::from_json,
+            ),
+            round_trip(
+                "metrics",
+                sample_metrics_record(),
+                RecordLine::Metrics,
+                MetricsRecord::from_json,
+            ),
+            round_trip("churn", sample_churn_record(), RecordLine::Churn, ChurnRecord::from_json),
+            round_trip(
+                "service",
+                sample_service_record(),
+                RecordLine::Service,
+                ServiceRecord::from_json,
+            ),
+            round_trip("crash", sample_crash_record(), RecordLine::Crash, CrashRecord::from_json),
+            round_trip("health", undurable, RecordLine::Health, HealthRecord::from_json),
+            round_trip(
+                "server_stats",
+                sample_server_stats_record(),
+                RecordLine::ServerStats,
+                ServerStatsRecord::from_json,
+            ),
+            round_trip("trace", sample_trace_record(), RecordLine::Trace, TraceRecord::from_json),
+        ];
+        let kinds: std::collections::HashSet<_> =
+            samples.iter().map(std::mem::discriminant).collect();
+        assert_eq!(kinds.len(), 11, "one sample per kind");
+        assert!(samples[8].to_json().contains("\"fsync\":null"), "an undurable daemon's row");
+        // The trial reader skips every sample but the trial.
+        assert_eq!(from_jsonl(&to_jsonl_mixed(&samples)).unwrap().len(), 1);
+    }
+
+    /// Integer fields are read from the number's text, so seeds above 2^53
+    /// come back exactly instead of rounded or rejected.
+    #[test]
+    fn u64_fields_decode_exactly() {
+        for seed in [u64::MAX, (1 << 53) + 1] {
+            let r = RunRecord { seed, ..sample_record() };
+            let json = r.to_json();
+            assert!(json.contains(&format!("\"seed\":{seed},")), "{json}");
+            assert_eq!(RunRecord::from_json(&json).unwrap(), r);
+            let t = TimelineRecord { seed, ..sample_timeline_record() };
+            let parsed = from_jsonl_lenient(&t.to_json()).unwrap();
+            assert_eq!(parsed.records, vec![RecordLine::Timeline(t)]);
+        }
+        // Integral float spellings still read; fractions and overflow do not.
+        let json = sample_record().to_json();
+        let spelled = json.replace("\"seed\":1,", "\"seed\":1e0,");
+        assert_eq!(RunRecord::from_json(&spelled).unwrap(), sample_record());
+        for bad in ["1.5", "-1", "18446744073709551616"] {
+            let broken = json.replace("\"seed\":1,", &format!("\"seed\":{bad},"));
+            let err = RunRecord::from_json(&broken).unwrap_err();
+            assert!(err.contains("seed"), "{bad}: {err}");
+        }
+    }
+
+    /// Every line of every checked-in `results/*.jsonl` stream decodes, and
+    /// re-encodes to the same bytes (only the schema version may differ).
+    #[test]
+    fn checked_in_streams_re_encode_byte_for_byte() {
+        fn without_version(line: &str) -> String {
+            let rest = line.strip_prefix("{\"v\":").expect("lines lead with the version");
+            rest.trim_start_matches(|c: char| c.is_ascii_digit()).to_string()
+        }
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        let mut streams: Vec<_> = std::fs::read_dir(&dir)
+            .expect("results directory")
+            .map(|entry| entry.expect("directory entry").path())
+            .filter(|path| path.extension().is_some_and(|e| e == "jsonl"))
+            .collect();
+        streams.sort();
+        assert!(streams.len() >= 9, "{streams:?}");
+        let mut kinds = std::collections::HashSet::new();
+        for path in &streams {
+            let text = std::fs::read_to_string(path).expect("readable stream");
+            for (idx, line) in text.lines().enumerate() {
+                let record = RecordLine::from_json(line)
+                    .unwrap_or_else(|e| panic!("{}:{}: {e}", path.display(), idx + 1));
+                assert_eq!(
+                    without_version(&record.to_json()),
+                    without_version(line),
+                    "{}:{}",
+                    path.display(),
+                    idx + 1
+                );
+                kinds.insert(std::mem::discriminant(&record));
+            }
+        }
+        assert!(kinds.len() >= 8, "the streams cover {} kinds", kinds.len());
     }
 }

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use population::record::{JsonObject, ServerStatsRecord};
+use population::record::{HealthRecord, JsonObject, ServerStatsRecord};
 
 use crate::journal::{FsyncPolicy, Op};
 use crate::obs::{self, ServerStats};
@@ -640,31 +640,32 @@ fn serve_request(
             Ok(obj.finish())
         }
         "health" => {
+            let quarantines = registry.quarantines();
             let rows: Vec<String> = registry
                 .health()
-                .iter()
+                .into_iter()
                 .map(|row| {
-                    let mut o = JsonObject::new();
-                    o.field_str("pop", &row.name)
-                        .field_str("protocol", row.status.protocol)
-                        .field_str("backend", row.status.backend)
-                        .field_u64("n", row.status.n0 as u64)
-                        .field_u64("live", row.status.live as u64)
-                        .field_u64("interactions", row.status.interactions)
-                        .field_bool("ranked", row.status.ranked)
-                        .field_u64("seq", row.seq)
-                        .field_u64("snapshot_seq", row.snapshot_seq)
-                        .field_u64("lag", row.seq.saturating_sub(row.snapshot_seq));
-                    match row.fsync {
-                        Some(policy) => o.field_str("fsync", &policy.spec()),
-                        None => o.field_null("fsync"),
-                    };
-                    o.finish()
+                    HealthRecord {
+                        experiment: "serve".to_string(),
+                        pop: row.name,
+                        protocol: row.status.protocol.to_string(),
+                        backend: row.status.backend.to_string(),
+                        n: row.status.n0 as u64,
+                        live: row.status.live as u64,
+                        interactions: row.status.interactions,
+                        ranked: row.status.ranked,
+                        seq: row.seq,
+                        snapshot_seq: row.snapshot_seq,
+                        lag: row.seq.saturating_sub(row.snapshot_seq),
+                        fsync: row.fsync.map(|policy| policy.spec()),
+                        quarantines,
+                    }
+                    .to_json()
                 })
                 .collect();
             let mut obj = ok_response();
             obj.field_u64("count", rows.len() as u64)
-                .field_u64("quarantines", registry.quarantines())
+                .field_u64("quarantines", quarantines)
                 .field_bool("durable", registry.durable())
                 .field_raw("populations", &format!("[{}]", rows.join(",")));
             Ok(obj.finish())
@@ -786,6 +787,39 @@ mod tests {
 
     fn fresh() -> (Registry, AtomicBool) {
         (Registry::new(None), AtomicBool::new(false))
+    }
+
+    /// `health` rows are `"kind":"health"` record lines, with `fsync` null
+    /// on an undurable daemon and the policy spec on a durable one.
+    #[test]
+    fn health_rows_parse_as_health_records() {
+        let dir = std::env::temp_dir().join(format!("ssle-serve-health-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let durable = Registry::with_durability(Some(dir.clone()), Default::default());
+        for (registry, fsync) in [(Registry::new(None), None), (durable, Some("always"))] {
+            let stop = AtomicBool::new(false);
+            for (name, backend) in [("a", "agents"), ("b", "counts")] {
+                let create = format!(
+                    r#"{{"cmd":"create","name":"{name}","protocol":"oss","backend":"{backend}","n":12,"seed":3}}"#
+                );
+                assert!(handle_line(&registry, &stop, &create).contains("\"ok\":true"));
+            }
+            let health = handle_line(&registry, &stop, r#"{"cmd":"health"}"#);
+            let rows = crate::wire::embedded_rows(&health, "populations").expect("rows");
+            assert_eq!(rows.len(), 2, "{health}");
+            for (row, backend) in rows.iter().zip(["agents", "counts"]) {
+                let population::RecordLine::Health(h) =
+                    population::RecordLine::from_json(row).expect("a well-formed record line")
+                else {
+                    panic!("not a health line: {row}");
+                };
+                assert_eq!(h.experiment, "serve");
+                assert_eq!(h.backend, backend);
+                assert_eq!((h.n, h.live, h.quarantines), (12, 12, 0));
+                assert_eq!(h.fsync.as_deref(), fsync);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

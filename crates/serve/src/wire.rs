@@ -22,7 +22,7 @@
 //! | `timeline` | `name, [last]` | checkpoint array |
 //! | `metrics` | `name` | embedded engine metrics record |
 //! | `snapshot` | `name` | path written |
-//! | `health` | — | per-population liveness + journal-lag rows |
+//! | `health` | — | per-population liveness + journal-lag rows (`health` records) |
 //! | `stats` | `[reset]` | per-command latency/throughput rows (`server_stats` records); `reset:true` reads then zeroes the window |
 //! | `dump-trace` | `[last]` | last N request traces from the flight recorder (+ dump file path when durable) |
 //! | `list` | — | population names |
