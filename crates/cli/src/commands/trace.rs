@@ -3,7 +3,7 @@
 use population::probe::{record_series, to_csv_table, Series};
 use population::record::JsonObject;
 use population::runner::rng_from_seed;
-use population::{RankingProtocol, Simulation};
+use population::{RankTracker, RankingProtocol, Simulation};
 use ssle::adversary;
 use ssle::cai_izumi_wada::CaiIzumiWada;
 use ssle::loose::{LooseState, LooselyStabilizingLe};
@@ -188,18 +188,8 @@ fn count_leaders<P: RankingProtocol>(p: &P, states: &[P::State]) -> f64 {
 }
 
 fn distinct_ranks<P: RankingProtocol>(p: &P, states: &[P::State]) -> f64 {
-    let n = p.population_size();
-    let mut seen = vec![false; n + 1];
-    let mut distinct = 0;
-    for s in states {
-        if let Some(r) = p.rank_of(s) {
-            if r <= n && !seen[r] {
-                seen[r] = true;
-                distinct += 1;
-            }
-        }
-    }
-    distinct as f64
+    let ranks = RankTracker::of_states(p, states);
+    (ranks.rank_count() - ranks.missing_ranks()) as f64
 }
 
 #[cfg(test)]

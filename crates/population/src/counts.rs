@@ -59,9 +59,9 @@ use std::time::Instant;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use crate::fault::{
-    ChaosReport, Corruptor, FaultInjector, FaultPlan, FaultSchedule, NoFaults, RecoveryTracker,
-};
+use crate::driver::SteppedDriver;
+use crate::dynamics::{ByzantineSet, ChurnPlan};
+use crate::fault::{ChaosReport, Corruptor, FaultInjector, FaultPlan, FaultSchedule, NoFaults};
 use crate::metrics::{MetricsSink, NoopMetrics, Section, AGENT_FLUSH_EVERY};
 use crate::observer::{NoopObserver, Observer};
 use crate::protocol::{Protocol, RankingProtocol};
@@ -69,7 +69,7 @@ use crate::runner::rng_from_seed;
 use crate::scheduler::{uniform_u64, AnyScheduler, Reliability, SchedulerPolicy};
 use crate::simulation::{interact_reliably, RunOutcome};
 use crate::timeline::{snapshot_counts, TimelineObserver};
-use crate::tracker::RankTracker;
+use crate::tracker::{ConfirmWindow, RankTracker};
 
 /// A population configuration as a multiset of states.
 ///
@@ -1095,16 +1095,6 @@ impl<P: RankingProtocol, O: Observer<P>, F: FaultSchedule<P>, M: MetricsSink>
 where
     P::State: Eq + Hash,
 {
-    /// Builds a rank histogram of the current configuration.
-    pub(crate) fn build_tracker(&self) -> RankTracker {
-        let n = self.protocol.population_size();
-        let mut tracker = RankTracker::new(n);
-        for (s, c) in self.config.iter() {
-            tracker.add_many(self.protocol.rank_of(s), c);
-        }
-        tracker
-    }
-
     /// Number of agents currently outputting leader (rank 1).
     pub fn leader_count(&self) -> u64 {
         self.config.iter().filter(|(s, _)| self.protocol.is_leader(s)).map(|(_, c)| c).sum()
@@ -1112,7 +1102,7 @@ where
 
     /// Whether the configuration is currently correctly ranked.
     pub fn is_ranked(&self) -> bool {
-        self.build_tracker().is_correct()
+        RankTracker::of_counts(&self.protocol, &self.config).is_correct()
     }
 
     /// Count-level mirror of
@@ -1157,8 +1147,8 @@ where
     ) -> RunOutcome {
         let n = self.protocol.population_size();
         assert_eq!(n as u64, self.n, "protocol configured for a different population size");
-        let mut tracker = self.build_tracker();
-        let mut converged_at: Option<u64> = None;
+        let mut tracker = RankTracker::of_counts(&self.protocol, &self.config);
+        let mut confirm = ConfirmWindow::new(confirm_window);
         let outcome = loop {
             if let Some(tl) = timeline.as_deref_mut() {
                 if tl.is_due(self.interactions) {
@@ -1169,28 +1159,12 @@ where
                     }
                 }
             }
-            match converged_at {
-                Some(t0) => {
-                    if self.interactions - t0 >= confirm_window {
-                        self.observer.on_converged(t0);
-                        if F::ACTIVE {
-                            self.faults.notify_converged(t0);
-                        }
-                        break RunOutcome::Converged { interactions: t0 };
-                    }
+            if let Some(t0) = confirm.confirmed(tracker.is_correct(), self.interactions) {
+                self.observer.on_converged(t0);
+                if F::ACTIVE {
+                    self.faults.notify_converged(t0);
                 }
-                None => {
-                    if tracker.is_correct() {
-                        converged_at = Some(self.interactions);
-                        if confirm_window == 0 {
-                            self.observer.on_converged(self.interactions);
-                            if F::ACTIVE {
-                                self.faults.notify_converged(self.interactions);
-                            }
-                            break RunOutcome::Converged { interactions: self.interactions };
-                        }
-                    }
-                }
+                break RunOutcome::Converged { interactions: t0 };
             }
             if self.interactions >= max_interactions {
                 self.observer.on_exhausted(self.interactions);
@@ -1209,13 +1183,11 @@ where
                 let fired_before = self.faults.fired_count();
                 self.poll_faults();
                 if self.faults.fired_count() != fired_before {
-                    tracker = self.build_tracker();
-                    converged_at = None;
+                    tracker = RankTracker::of_counts(&self.protocol, &self.config);
+                    confirm.restart();
                 }
             }
-            if converged_at.is_some() && !tracker.is_correct() {
-                converged_at = None;
-            }
+            confirm.keep_if(tracker.is_correct());
         };
         if let Some(tl) = timeline {
             tl.seal(snapshot_counts(&self.protocol, &self.config, self.interactions));
@@ -1248,34 +1220,15 @@ where
             "scheduler policy was built for a different population size"
         );
         let mut states = self.config.to_states();
-        let mut tracker = RankTracker::new(n);
-        for s in &states {
-            tracker.add(self.protocol.rank_of(s));
-        }
-        let mut converged_at: Option<u64> = None;
+        let mut tracker = RankTracker::of_states(&self.protocol, &states);
+        let mut confirm = ConfirmWindow::new(confirm_window);
         let outcome = loop {
-            match converged_at {
-                Some(t0) => {
-                    if self.interactions - t0 >= confirm_window {
-                        self.observer.on_converged(t0);
-                        if F::ACTIVE {
-                            self.faults.notify_converged(t0);
-                        }
-                        break RunOutcome::Converged { interactions: t0 };
-                    }
+            if let Some(t0) = confirm.confirmed(tracker.is_correct(), self.interactions) {
+                self.observer.on_converged(t0);
+                if F::ACTIVE {
+                    self.faults.notify_converged(t0);
                 }
-                None => {
-                    if tracker.is_correct() {
-                        converged_at = Some(self.interactions);
-                        if confirm_window == 0 {
-                            self.observer.on_converged(self.interactions);
-                            if F::ACTIVE {
-                                self.faults.notify_converged(self.interactions);
-                            }
-                            break RunOutcome::Converged { interactions: self.interactions };
-                        }
-                    }
-                }
+                break RunOutcome::Converged { interactions: t0 };
             }
             if self.interactions >= max_interactions {
                 self.observer.on_exhausted(self.interactions);
@@ -1302,16 +1255,11 @@ where
                 let corrupted = self.faults.poll(&self.protocol, &mut states, self.interactions);
                 if self.faults.fired_count() != fired_before {
                     self.observer.on_fault(corrupted, self.interactions);
-                    tracker = RankTracker::new(n);
-                    for s in &states {
-                        tracker.add(self.protocol.rank_of(s));
-                    }
-                    converged_at = None;
+                    tracker = RankTracker::of_states(&self.protocol, &states);
+                    confirm.restart();
                 }
             }
-            if converged_at.is_some() && !tracker.is_correct() {
-                converged_at = None;
-            }
+            confirm.keep_if(tracker.is_correct());
         };
         self.config = CountConfig::from_states(&states);
         self.memo.grow(self.config.raw_len());
@@ -1341,55 +1289,13 @@ where
     /// rebuild per batch), so availability and recovery times may overshoot
     /// by up to one batch (`O(√n)` interactions, i.e. `o(1)` parallel
     /// time).
+    ///
+    /// This is the [`SteppedDriver`] run with an empty churn plan and an
+    /// empty Byzantine set (see [`BatchSimulation::run_dynamics`]).
     pub fn run_chaos(&mut self, max_interactions: u64) -> ChaosReport {
-        let n = self.protocol.population_size();
-        assert_eq!(n as u64, self.n, "protocol configured for a different population size");
-        let mut tracker = self.build_tracker();
-        let mut recovery = RecoveryTracker::new(n);
-        let mut seen = self.faults.fired_count();
-
-        self.poll_faults();
-        if self.faults.fired_count() != seen {
-            for f in &self.faults.log()[seen..] {
-                recovery.on_fault(f.action, f.agents, f.at);
-            }
-            seen = self.faults.fired_count();
-            tracker = self.build_tracker();
-        }
-        if tracker.is_correct() {
-            recovery.on_ranked(self.interactions);
-            self.faults.notify_converged(self.interactions);
-        }
-
-        loop {
-            if tracker.is_correct() && self.faults.exhausted() && recovery.open_faults() == 0 {
-                self.observer.on_converged(self.interactions);
-                break;
-            }
-            if self.interactions >= max_interactions {
-                self.observer.on_exhausted(self.interactions);
-                break;
-            }
-            // Advance a whole batch (ranked stretches are capped at the
-            // next due fault by `advance`), then resolve status.
-            let before = self.interactions;
-            self.advance(max_interactions - self.interactions);
-            let performed = self.interactions - before;
-            if self.faults.fired_count() != seen {
-                for f in &self.faults.log()[seen..] {
-                    recovery.on_fault(f.action, f.agents, f.at);
-                }
-                seen = self.faults.fired_count();
-            }
-            tracker = self.build_tracker();
-            let ranked = tracker.is_correct();
-            recovery.observe_steps(performed, ranked, tracker.count_of(1) == 1);
-            if ranked {
-                recovery.on_ranked(self.interactions);
-                self.faults.notify_converged(self.interactions);
-            }
-        }
-        recovery.into_report(self.interactions)
+        SteppedDriver::bind(self, &ChurnPlan::none(), &ByzantineSet::none())
+            .run(self, max_interactions)
+            .chaos
     }
 }
 

@@ -86,8 +86,11 @@ pub trait DynamicBackend<P: Corruptor>: SimulationBackend<P> {
     /// Observer hook: the run exhausted its budget.
     fn note_exhausted(&mut self, at: u64);
 
-    /// Rank histogram of the current configuration against `n₀`.
-    fn rank_tracker(&self) -> RankTracker;
+    /// Rank histogram of the current configuration against `n₀`, with the
+    /// index of the unique rank-1 agent on backends with agent identities
+    /// (`None` on the anonymous counts backend, or when the leader is not
+    /// unique).
+    fn rank_probe(&self) -> (RankTracker, Option<usize>);
 
     /// Joins `k` fresh agents, each booting in an adversarial state drawn
     /// from `rng` ([`Corruptor::random_state`]).
@@ -100,11 +103,6 @@ pub trait DynamicBackend<P: Corruptor>: SimulationBackend<P> {
     /// (victims and states drawn from `rng`) — the size-preserving
     /// replace/corrupt primitive.
     fn corrupt_random(&mut self, k: usize, rng: &mut SmallRng);
-
-    /// Index of the unique rank-1 agent, when the backend has agent
-    /// identities and exactly one agent outputs leader (`None` on the
-    /// anonymous counts backend, or when the leader is not unique).
-    fn leader_index(&self) -> Option<usize>;
 
     /// Runs under the attached fault schedule plus membership churn and a
     /// Byzantine adversary (see [`Simulation::run_dynamics`] and
@@ -163,12 +161,8 @@ where
         self.observer.on_exhausted(at);
     }
 
-    fn rank_tracker(&self) -> RankTracker {
-        let mut tracker = RankTracker::new(self.protocol.population_size());
-        for s in &self.states {
-            tracker.add(self.protocol.rank_of(s));
-        }
-        tracker
+    fn rank_probe(&self) -> (RankTracker, Option<usize>) {
+        RankTracker::of_states_with_leader(&self.protocol, &self.states)
     }
 
     fn join_adversarial(&mut self, k: usize, rng: &mut SmallRng) {
@@ -200,19 +194,6 @@ where
             let victim = rng.gen_range(0..live);
             self.states[victim] = self.protocol.random_state(rng);
         }
-    }
-
-    fn leader_index(&self) -> Option<usize> {
-        let mut found = None;
-        for (idx, s) in self.states.iter().enumerate() {
-            if self.protocol.rank_of(s) == Some(1) {
-                if found.is_some() {
-                    return None;
-                }
-                found = Some(idx);
-            }
-        }
-        found
     }
 
     fn run_dynamics(
@@ -269,8 +250,8 @@ where
         self.observer_mut().on_exhausted(at);
     }
 
-    fn rank_tracker(&self) -> RankTracker {
-        self.build_tracker()
+    fn rank_probe(&self) -> (RankTracker, Option<usize>) {
+        (RankTracker::of_counts(self.protocol(), self.counts()), None)
     }
 
     fn join_adversarial(&mut self, k: usize, rng: &mut SmallRng) {
@@ -293,10 +274,6 @@ where
         }
     }
 
-    fn leader_index(&self) -> Option<usize> {
-        None
-    }
-
     fn run_dynamics(
         &mut self,
         churn: &ChurnPlan,
@@ -307,28 +284,15 @@ where
     }
 }
 
-/// What one driver slice did, for callers (the service daemon) that probe
-/// at slice boundaries.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SliceOutcome {
-    /// Interactions the slice performed (0 when the budget was exhausted).
-    pub performed: u64,
-    /// Whether the configuration was correctly ranked at the configured
-    /// size at the boundary probe.
-    pub ranked: bool,
-    /// Agents outputting rank 1 at the boundary probe.
-    pub leaders: u32,
-}
-
 /// The reusable `run(k)`-slice + event-injection state machine.
 ///
 /// Owns everything a dynamic run tracks between slices: the armed churn
 /// schedule and its private RNG, the (lumped) Byzantine clock and its
-/// private RNG, the piecewise parallel-time clock, the rank histogram, the
-/// [`RecoveryTracker`], and the membership tallies. The backend stays
-/// outside, passed to every call — so the same driver type serves both
-/// backends and both calling styles (run-to-completion trials, serve's
-/// request-paced slices).
+/// private RNG, the piecewise parallel-time clock, the boundary probe (rank
+/// histogram, verdict at `n₀`, leader index), the [`RecoveryTracker`], and
+/// the membership tallies. The backend stays outside, passed to every call
+/// — so the same driver type serves both backends and both calling styles
+/// (run-to-completion trials, serve's request-paced slices).
 #[derive(Debug, Clone)]
 pub struct SteppedDriver {
     n0: usize,
@@ -347,6 +311,9 @@ pub struct SteppedDriver {
     corruptions: u64,
     byz_strikes: u64,
     tracker: RankTracker,
+    /// `tracker` is correct and the live size is `n₀`.
+    ranked: bool,
+    leader_index: Option<usize>,
     recovery: RecoveryTracker,
     seen_faults: usize,
 }
@@ -402,30 +369,29 @@ impl SteppedDriver {
             replacements: 0,
             corruptions: 0,
             byz_strikes: 0,
-            tracker: backend.rank_tracker(),
+            tracker: RankTracker::new(n0),
+            ranked: false,
+            leader_index: None,
             recovery: RecoveryTracker::new(n0),
             seen_faults: backend.fault_log().len(),
         };
         backend.poll_pending_faults();
-        if backend.fault_log().len() != driver.seen_faults {
-            driver.drain_fault_log(backend);
-            driver.tracker = backend.rank_tracker();
-        }
-        if driver.tracker.is_correct() && backend.population_size() == n0 {
-            let at = backend.interactions();
-            driver.recovery.on_ranked(at);
-            backend.fault_notify_converged(at);
-        }
+        driver.recovery.drain_fired(backend.fault_log(), &mut driver.seen_faults);
+        driver.probe(backend);
         driver
     }
 
-    /// Copies newly fired faults from the backend's log into the recovery
-    /// clock.
-    fn drain_fault_log<P: Corruptor, B: DynamicBackend<P>>(&mut self, backend: &B) {
-        for f in &backend.fault_log()[self.seen_faults..] {
-            self.recovery.on_fault(f.action, f.agents, f.at);
+    /// The boundary probe: rebuilds the rank histogram, judges it at `n₀`,
+    /// and on a ranked verdict closes open faults and arms
+    /// after-convergence fault triggers.
+    fn probe<P: Corruptor, B: DynamicBackend<P>>(&mut self, backend: &mut B) {
+        (self.tracker, self.leader_index) = backend.rank_probe();
+        self.ranked = self.tracker.is_correct() && backend.population_size() == self.n0;
+        if self.ranked {
+            let at = backend.interactions();
+            self.recovery.on_ranked(at);
+            backend.fault_notify_converged(at);
         }
-        self.seen_faults = backend.fault_log().len();
     }
 
     /// Parallel time elapsed, accumulated piecewise as `1/n_live` per
@@ -437,12 +403,24 @@ impl SteppedDriver {
     /// Whether the configuration was correctly ranked at the configured
     /// size at the last boundary probe.
     pub fn is_ranked(&self) -> bool {
-        self.tracker.is_correct()
+        self.ranked
     }
 
     /// Agents outputting rank 1 at the last boundary probe.
     pub fn leaders(&self) -> u32 {
         self.tracker.count_of(1)
+    }
+
+    /// Index of the unique rank-1 agent at the last boundary probe, on
+    /// backends with agent identities (`None` on the counts backend, or
+    /// when the leader is not unique).
+    pub fn leader_index(&self) -> Option<usize> {
+        self.leader_index
+    }
+
+    /// The rank histogram against `n₀` at the last boundary probe.
+    pub fn ranks(&self) -> &RankTracker {
+        &self.tracker
     }
 
     /// Membership tallies so far: `(joins, leaves, replacements,
@@ -493,8 +471,10 @@ impl SteppedDriver {
     /// at the remaining `budget` and at the next due event so firing times
     /// stay exact to within one interaction; then fires due events and
     /// probes convergence at the boundary (where the metrics sink has just
-    /// been flushed by the backend). Returns what happened.
-    pub fn slice<P, B>(&mut self, backend: &mut B, cap: u64, budget: u64) -> SliceOutcome
+    /// been flushed by the backend). Returns the interactions performed (0
+    /// when the budget was exhausted); the probe's verdict is read through
+    /// [`Self::is_ranked`], [`Self::leaders`] and [`Self::ranks`].
+    pub fn slice<P, B>(&mut self, backend: &mut B, cap: u64, budget: u64) -> u64
     where
         P: Corruptor,
         B: DynamicBackend<P>,
@@ -515,9 +495,7 @@ impl SteppedDriver {
         }
         let performed = backend.interactions() - before;
         self.pt += performed as f64 / live as f64;
-        if backend.fault_log().len() != self.seen_faults {
-            self.drain_fault_log(backend);
-        }
+        self.recovery.drain_fired(backend.fault_log(), &mut self.seen_faults);
 
         // Lumped Byzantine strikes for every crossed parallel-time unit.
         while self.byz_due <= self.pt {
@@ -535,15 +513,9 @@ impl SteppedDriver {
             }
         }
 
-        self.tracker = backend.rank_tracker();
-        let ranked = self.tracker.is_correct() && backend.population_size() == self.n0;
-        self.recovery.observe_steps(performed, ranked, self.tracker.count_of(1) == 1);
-        if ranked {
-            let at = backend.interactions();
-            self.recovery.on_ranked(at);
-            backend.fault_notify_converged(at);
-        }
-        SliceOutcome { performed, ranked, leaders: self.tracker.count_of(1) }
+        self.probe(backend);
+        self.recovery.observe_steps(performed, self.ranked, self.leaders() == 1);
+        performed
     }
 
     /// Applies one membership action with the plan's population clamps,
@@ -593,12 +565,7 @@ impl SteppedDriver {
         B: DynamicBackend<P>,
     {
         let applied = self.apply(backend, action);
-        self.tracker = backend.rank_tracker();
-        if self.tracker.is_correct() && backend.population_size() == self.n0 {
-            let at = backend.interactions();
-            self.recovery.on_ranked(at);
-            backend.fault_notify_converged(at);
-        }
+        self.probe(backend);
         applied
     }
 
@@ -616,12 +583,7 @@ impl SteppedDriver {
         if k > 0 {
             self.recovery.on_fault("corrupt", k, backend.interactions());
         }
-        self.tracker = backend.rank_tracker();
-        if self.tracker.is_correct() && backend.population_size() == self.n0 {
-            let at = backend.interactions();
-            self.recovery.on_ranked(at);
-            backend.fault_notify_converged(at);
-        }
+        self.probe(backend);
         k
     }
 
@@ -636,11 +598,7 @@ impl SteppedDriver {
         B: DynamicBackend<P>,
     {
         loop {
-            if self.tracker.is_correct()
-                && backend.population_size() == self.n0
-                && self.quiescent(backend)
-                && self.recovery.open_faults() == 0
-            {
+            if self.ranked && self.quiescent(backend) && self.recovery.open_faults() == 0 {
                 let at = backend.interactions();
                 backend.note_converged(at);
                 break;
@@ -745,9 +703,9 @@ mod tests {
         // Drive in short slices until re-stabilized.
         let mut budget = 2_000_000u64;
         while !(driver.is_ranked() && counts.population_size() == n) && budget > 0 {
-            let out = driver.slice(&mut counts, 512, u64::MAX);
-            assert!(out.performed > 0);
-            budget = budget.saturating_sub(out.performed);
+            let performed = driver.slice(&mut counts, 512, u64::MAX);
+            assert!(performed > 0);
+            budget = budget.saturating_sub(performed);
         }
         assert!(driver.is_ranked(), "never re-stabilized after injected events");
         assert_eq!(driver.open_faults(), 0);
@@ -758,15 +716,16 @@ mod tests {
     fn leader_index_is_reported_on_the_agent_backend_only() {
         let n = 8;
         let mut agents = fresh(n, 5);
+        assert!(agents.run_until_stably_ranked(2_000_000, 0).is_converged());
         let driver = SteppedDriver::bind(&mut agents, &ChurnPlan::none(), &ByzantineSet::none());
-        driver.run(&mut agents, 2_000_000);
-        let idx = agents.leader_index().expect("ranked run has a unique leader");
+        let idx = driver.leader_index().expect("ranked run has a unique leader");
         assert_eq!(agents.protocol().rank_of(&agents.states()[idx]), Some(1));
 
         let mut counts = fresh_counts(n, 5);
+        assert!(counts.run_until_stably_ranked(2_000_000, 0).is_converged());
         let driver = SteppedDriver::bind(&mut counts, &ChurnPlan::none(), &ByzantineSet::none());
-        driver.run(&mut counts, 2_000_000);
-        assert_eq!(counts.leader_index(), None);
+        assert!(driver.is_ranked());
+        assert_eq!(driver.leader_index(), None);
     }
 
     #[test]
@@ -775,11 +734,9 @@ mod tests {
         let mut agents = fresh(n, 9);
         let mut driver =
             SteppedDriver::bind(&mut agents, &ChurnPlan::none(), &ByzantineSet::none());
-        let out = driver.slice(&mut agents, 100, u64::MAX);
-        assert_eq!(out.performed, 100);
+        assert_eq!(driver.slice(&mut agents, 100, u64::MAX), 100);
         assert_eq!(agents.interactions(), 100);
         // Budget exhausted → a pure boundary probe, no interactions.
-        let out = driver.slice(&mut agents, 100, 100);
-        assert_eq!(out.performed, 0);
+        assert_eq!(driver.slice(&mut agents, 100, 100), 0);
     }
 }

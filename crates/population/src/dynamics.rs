@@ -464,26 +464,14 @@ where
         let mut byz_strikes = 0u64;
         let mut pt = self.interactions as f64 / n0 as f64;
 
-        let mut tracker = RankTracker::new(n0);
-        for s in &self.states {
-            tracker.add(self.protocol.rank_of(s));
-        }
         let mut recovery = RecoveryTracker::new(n0);
         let mut seen = self.faults.fired_count();
 
         // The fault plan may fire at interaction 0, and the initial
         // configuration may already be ranked — mirror `run_chaos` exactly.
         self.poll_faults();
-        if self.faults.fired_count() != seen {
-            for f in &self.faults.log()[seen..] {
-                recovery.on_fault(f.action, f.agents, f.at);
-            }
-            seen = self.faults.fired_count();
-            tracker = RankTracker::new(n0);
-            for s in &self.states {
-                tracker.add(self.protocol.rank_of(s));
-            }
-        }
+        recovery.drain_fired(self.faults.log(), &mut seen);
+        let mut tracker = RankTracker::of_states(&self.protocol, &self.states);
         if tracker.is_correct() && self.states.len() == n0 {
             recovery.on_ranked(self.interactions);
             self.faults.notify_converged(self.interactions);
@@ -530,15 +518,8 @@ where
             }
 
             self.poll_faults();
-            if self.faults.fired_count() != seen {
-                for f in &self.faults.log()[seen..] {
-                    recovery.on_fault(f.action, f.agents, f.at);
-                }
-                seen = self.faults.fired_count();
-                tracker = RankTracker::new(n0);
-                for s in &self.states {
-                    tracker.add(self.protocol.rank_of(s));
-                }
+            if recovery.drain_fired(self.faults.log(), &mut seen) {
+                tracker = RankTracker::of_states(&self.protocol, &self.states);
             }
 
             // Membership events due at this parallel time.
@@ -590,15 +571,12 @@ where
                         self.scheduler =
                             Scheduler::new(self.states.len(), InteractionGraph::Complete);
                     }
-                    tracker = RankTracker::new(n0);
-                    for s in &self.states {
-                        tracker.add(self.protocol.rank_of(s));
-                    }
+                    tracker = RankTracker::of_states(&self.protocol, &self.states);
                 }
             }
 
             let ranked = tracker.is_correct() && self.states.len() == n0;
-            recovery.observe_step(ranked, tracker.count_of(1) == 1);
+            recovery.observe_steps(1, ranked, tracker.count_of(1) == 1);
             if ranked {
                 recovery.on_ranked(self.interactions);
                 self.faults.notify_converged(self.interactions);
@@ -657,8 +635,8 @@ where
     /// every unit of parallel time, `⌊t·n⌋` uniformly random agents are
     /// overwritten adversarially.
     ///
-    /// With an empty plan and an empty Byzantine set this performs the
-    /// bit-identical batch sequence of [`BatchSimulation::run_chaos`].
+    /// With an empty plan and an empty Byzantine set this is
+    /// [`BatchSimulation::run_chaos`].
     ///
     /// This is the [`SteppedDriver`] loop run to completion — the daemon in
     /// `crates/serve` drives the same driver one slice at a time.
@@ -863,26 +841,49 @@ mod tests {
         }
     }
 
-    /// The RNG-neutrality acceptance criterion, counts backend.
+    /// Counts chaos runs at fixed seeds, pinned to recorded reports: first
+    /// stable ranking, each fault's injection and recovery, and the
+    /// availability counters. The values come from a dedicated batch loop,
+    /// so the empty-plan [`SteppedDriver`] run that `run_chaos` now is stays
+    /// checked against an independent implementation.
     #[test]
-    fn empty_dynamics_replays_chaos_counts() {
-        for seed in 0..8u64 {
-            let plan = FaultPlan::new(seed)
-                .at_parallel_time(5.0, FaultAction::CorruptRandom(FaultSize::Exact(3)));
-            let mut chaos =
+    fn counts_chaos_reports_are_pinned() {
+        let corrupt = |k| FaultAction::CorruptRandom(FaultSize::Exact(k));
+        let run = |seed, plan: FaultPlan, budget| {
+            let mut sim =
                 BatchSimulation::new(ModRank { n: N }, all_zero(N), seed).with_fault_plan(&plan);
-            let chaos_report = chaos.run_chaos(BUDGET);
-
-            let mut dynamics =
-                BatchSimulation::new(ModRank { n: N }, all_zero(N), seed).with_fault_plan(&plan);
-            let report = dynamics.run_dynamics(&ChurnPlan::none(), &ByzantineSet::none(), BUDGET);
-
-            assert_eq!(report.chaos, chaos_report, "seed {seed}");
-            assert_eq!(report.final_n, N);
-            assert_eq!(dynamics.interactions(), chaos.interactions(), "seed {seed}");
-            let want: Vec<(usize, u64)> = chaos.counts().iter().map(|(s, c)| (*s, c)).collect();
-            let got: Vec<(usize, u64)> = dynamics.counts().iter().map(|(s, c)| (*s, c)).collect();
-            assert_eq!(got, want, "seed {seed}");
+            let r = sim.run_chaos(budget);
+            let faults: Vec<(u64, Option<u64>)> =
+                r.faults.iter().map(|f| (f.at, f.recovered_at)).collect();
+            let counters = [r.interactions, r.leader_steps, r.ranked_steps, r.observed_steps];
+            (r.first_ranked, faults, counters)
+        };
+        // One 3-agent corruption at t = 5 (interaction 80); the run ends at
+        // the recovery, which is also the first stable ranking.
+        // (seed, first_ranked, leader_steps, ranked_steps)
+        for (seed, first, leader, ranked) in
+            [(0, 2384, 2198, 2), (1, 1642, 1314, 4), (2, 1796, 1702, 5), (3, 2748, 2448, 4)]
+        {
+            let plan = FaultPlan::new(seed).at_parallel_time(5.0, corrupt(3));
+            let want = (Some(first), vec![(80, Some(first))], [first, leader, ranked, first]);
+            assert_eq!(run(seed, plan, BUDGET), want, "one-shot seed {seed}");
+        }
+        // Soak: 2 agents every 250 time units (4 000 interactions) for
+        // 20 000 interactions; the fault at the budget stays open.
+        // (seed, first_ranked, first four recoveries, leader_steps,
+        // ranked_steps)
+        for (seed, first, recovered, leader, ranked) in [
+            (0, 1697, [4093, 9332, 13990, 17619], 19178, 13273),
+            (1, 2244, [5402, 8338, 12133, 17868], 19637, 14019),
+            (2, 2135, [5720, 10450, 12454, 17584], 17827, 11663),
+            (3, 1988, [4512, 9465, 12302, 16735], 19415, 15009),
+        ] {
+            let plan = FaultPlan::new(seed).every_parallel_time(250.0, corrupt(2));
+            let mut faults: Vec<(u64, Option<u64>)> =
+                (1..=4).zip(recovered).map(|(i, r)| (4_000 * i, Some(r))).collect();
+            faults.push((20_000, None));
+            let want = (Some(first), faults, [20_000, leader, ranked, 20_000]);
+            assert_eq!(run(seed, plan, 20_000), want, "soak seed {seed}");
         }
     }
 

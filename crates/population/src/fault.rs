@@ -600,10 +600,10 @@ impl FaultOutcome {
 /// Accumulates recovery and availability statistics as a chaos run proceeds.
 ///
 /// Driven by [`Simulation::run_chaos`](crate::Simulation::run_chaos):
-/// [`RecoveryTracker::on_fault`] when an injection fires,
-/// [`RecoveryTracker::observe_step`] after every interaction, and
-/// [`RecoveryTracker::on_ranked`] whenever the configuration is correctly
-/// ranked (closing all open faults).
+/// [`RecoveryTracker::drain_fired`] when injections fire,
+/// [`RecoveryTracker::observe_steps`] after every interaction (or batch),
+/// and [`RecoveryTracker::on_ranked`] whenever the configuration is
+/// correctly ranked (closing all open faults).
 #[derive(Debug, Clone)]
 pub struct RecoveryTracker {
     n: usize,
@@ -637,6 +637,18 @@ impl RecoveryTracker {
         self.faults.push(FaultOutcome { action, agents, at, recovered_at: None });
     }
 
+    /// Records every fault in `log` past its first `*seen` entries — the
+    /// faults fired since the last call — and advances `*seen`. Returns
+    /// whether any fired, i.e. whether agent states were overwritten.
+    pub fn drain_fired(&mut self, log: &[FiredFault], seen: &mut usize) -> bool {
+        let fresh = &log[*seen..];
+        for f in fresh {
+            self.on_fault(f.action, f.agents, f.at);
+        }
+        *seen = log.len();
+        !fresh.is_empty()
+    }
+
     /// Records that the configuration is correctly ranked at interaction
     /// count `at`: notes the first stabilization and closes every open fault.
     pub fn on_ranked(&mut self, at: u64) {
@@ -648,17 +660,11 @@ impl RecoveryTracker {
         }
     }
 
-    /// Accounts one interaction's worth of availability: whether the
-    /// configuration was correctly ranked and whether exactly one agent held
-    /// rank 1 after it.
-    pub fn observe_step(&mut self, ranked: bool, unique_leader: bool) {
-        self.observe_steps(1, ranked, unique_leader);
-    }
-
-    /// Accounts `steps` interactions at once, all sharing the same ranked /
-    /// unique-leader status — the batched counterpart of
-    /// [`RecoveryTracker::observe_step`] used by the count-based backend,
-    /// which only inspects the configuration at batch boundaries.
+    /// Accounts `steps` interactions, all sharing the same status: whether
+    /// the configuration was correctly ranked and whether exactly one agent
+    /// held rank 1 after them. The agent backend observes one interaction
+    /// at a time; the driver observes whole slices, inspecting the
+    /// configuration only at their boundaries.
     pub fn observe_steps(&mut self, steps: u64, ranked: bool, unique_leader: bool) {
         self.observed_steps += steps;
         if ranked {
@@ -834,26 +840,14 @@ impl<P: Corruptor, O: Observer<P>, F: FaultSchedule<P>, S: SchedulerPolicy, M: M
     pub fn run_chaos(&mut self, max_interactions: u64) -> ChaosReport {
         let n = self.protocol.population_size();
         assert_eq!(n, self.states.len(), "protocol configured for a different population size");
-        let mut tracker = RankTracker::new(n);
-        for s in &self.states {
-            tracker.add(self.protocol.rank_of(s));
-        }
         let mut recovery = RecoveryTracker::new(n);
         let mut seen = self.faults.fired_count();
 
         // The plan may fire at interaction 0, and the initial configuration
         // may already be ranked.
         self.poll_faults();
-        if self.faults.fired_count() != seen {
-            for f in &self.faults.log()[seen..] {
-                recovery.on_fault(f.action, f.agents, f.at);
-            }
-            seen = self.faults.fired_count();
-            tracker = RankTracker::new(n);
-            for s in &self.states {
-                tracker.add(self.protocol.rank_of(s));
-            }
-        }
+        recovery.drain_fired(self.faults.log(), &mut seen);
+        let mut tracker = RankTracker::of_states(&self.protocol, &self.states);
         if tracker.is_correct() {
             recovery.on_ranked(self.interactions);
             self.faults.notify_converged(self.interactions);
@@ -878,18 +872,11 @@ impl<P: Corruptor, O: Observer<P>, F: FaultSchedule<P>, S: SchedulerPolicy, M: M
                 self.note_step_metrics();
             }
             self.poll_faults();
-            if self.faults.fired_count() != seen {
-                for f in &self.faults.log()[seen..] {
-                    recovery.on_fault(f.action, f.agents, f.at);
-                }
-                seen = self.faults.fired_count();
-                tracker = RankTracker::new(n);
-                for s in &self.states {
-                    tracker.add(self.protocol.rank_of(s));
-                }
+            if recovery.drain_fired(self.faults.log(), &mut seen) {
+                tracker = RankTracker::of_states(&self.protocol, &self.states);
             }
             let ranked = tracker.is_correct();
-            recovery.observe_step(ranked, tracker.count_of(1) == 1);
+            recovery.observe_steps(1, ranked, tracker.count_of(1) == 1);
             if ranked {
                 recovery.on_ranked(self.interactions);
                 self.faults.notify_converged(self.interactions);

@@ -103,7 +103,7 @@ pub mod tracker;
 
 pub use backend::SimulationBackend;
 pub use counts::{BatchSimulation, CountConfig};
-pub use driver::{DynamicBackend, SliceOutcome, SteppedDriver};
+pub use driver::{DynamicBackend, SteppedDriver};
 pub use dynamics::{
     ByzantineSet, ChurnAction, ChurnEvent, ChurnPlan, ChurnTrigger, DynamicsReport,
     DynamicsTrialOutcome,

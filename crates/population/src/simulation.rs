@@ -12,7 +12,7 @@ use crate::protocol::{Protocol, RankingProtocol};
 use crate::runner::rng_from_seed;
 use crate::scheduler::{Reliability, Scheduler, SchedulerPolicy};
 use crate::timeline::{snapshot_states, TimelineObserver};
-use crate::tracker::RankTracker;
+use crate::tracker::{ConfirmWindow, RankTracker};
 
 /// The result of running a simulation toward a goal with a bounded budget of
 /// interactions.
@@ -570,11 +570,8 @@ impl<
     ) -> RunOutcome {
         let n = self.protocol.population_size();
         assert_eq!(n, self.states.len(), "protocol configured for a different population size");
-        let mut tracker = RankTracker::new(n);
-        for s in &self.states {
-            tracker.add(self.protocol.rank_of(s));
-        }
-        let mut converged_at: Option<u64> = None;
+        let mut tracker = RankTracker::of_states(&self.protocol, &self.states);
+        let mut confirm = ConfirmWindow::new(confirm_window);
         let mut window = if M::ENABLED { Some(Instant::now()) } else { None };
         let outcome = loop {
             if let Some(tl) = timeline.as_deref_mut() {
@@ -586,28 +583,12 @@ impl<
                     }
                 }
             }
-            match converged_at {
-                Some(t0) => {
-                    if self.interactions - t0 >= confirm_window {
-                        self.observer.on_converged(t0);
-                        if F::ACTIVE {
-                            self.faults.notify_converged(t0);
-                        }
-                        break RunOutcome::Converged { interactions: t0 };
-                    }
+            if let Some(t0) = confirm.confirmed(tracker.is_correct(), self.interactions) {
+                self.observer.on_converged(t0);
+                if F::ACTIVE {
+                    self.faults.notify_converged(t0);
                 }
-                None => {
-                    if tracker.is_correct() {
-                        converged_at = Some(self.interactions);
-                        if confirm_window == 0 {
-                            self.observer.on_converged(self.interactions);
-                            if F::ACTIVE {
-                                self.faults.notify_converged(self.interactions);
-                            }
-                            break RunOutcome::Converged { interactions: self.interactions };
-                        }
-                    }
-                }
+                break RunOutcome::Converged { interactions: t0 };
             }
             if self.interactions >= max_interactions {
                 self.observer.on_exhausted(self.interactions);
@@ -641,18 +622,11 @@ impl<
                     // A fault overwrote arbitrary agents: the incremental
                     // histogram is stale, and any in-progress confirmation
                     // window no longer describes this configuration.
-                    tracker = RankTracker::new(n);
-                    for s in &self.states {
-                        tracker.add(self.protocol.rank_of(s));
-                    }
-                    converged_at = None;
+                    tracker = RankTracker::of_states(&self.protocol, &self.states);
+                    confirm.restart();
                 }
             }
-            if converged_at.is_some() && !tracker.is_correct() {
-                // The "stable" configuration broke inside the confirmation
-                // window — it was not stable after all; keep searching.
-                converged_at = None;
-            }
+            confirm.keep_if(tracker.is_correct());
         };
         if let Some(tl) = timeline {
             tl.seal(snapshot_states(&self.protocol, &self.states, self.interactions));
@@ -667,12 +641,7 @@ impl<
 
     /// Whether the configuration is currently correctly ranked.
     pub fn is_ranked(&self) -> bool {
-        let n = self.protocol.population_size();
-        let mut tracker = RankTracker::new(n);
-        for s in &self.states {
-            tracker.add(self.protocol.rank_of(s));
-        }
-        tracker.is_correct()
+        RankTracker::of_states(&self.protocol, &self.states).is_correct()
     }
 }
 

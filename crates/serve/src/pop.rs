@@ -29,6 +29,7 @@ use population::{
     BatchSimulation, ByzantineSet, ChurnAction, ChurnPlan, DynamicBackend, Simulation,
     SimulationBackend, SteppedDriver,
 };
+use ssle::adversary::random_configuration;
 use ssle::{CaiIzumiWada, OptimalSilentSsr};
 
 /// Agent-array backend with the recording metrics sink attached.
@@ -113,7 +114,7 @@ pub struct Status {
 /// The unique-leader query.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeaderReport {
-    /// Agents outputting rank 1 right now.
+    /// Agents outputting rank 1.
     pub leaders: u32,
     /// Whether the configuration is correctly ranked at `n₀`.
     pub ranked: bool,
@@ -164,9 +165,9 @@ pub trait Managed: Send {
     fn set_churn(&mut self, plan: &ChurnPlan);
     /// Full queryable state.
     fn status(&self) -> Status;
-    /// The unique-leader query (freshly probed).
+    /// The unique-leader query, as of the last boundary probe.
     fn leader(&self) -> LeaderReport;
-    /// The rank-histogram query (freshly probed).
+    /// The rank-histogram query, as of the last boundary probe.
     fn ranks(&self) -> RanksReport;
     /// The most recent `last` slice-boundary checkpoints, oldest first.
     fn timeline(&self, last: usize) -> Vec<Checkpoint>;
@@ -285,8 +286,8 @@ where
             let chunk = (self.backend.population_size() as u64).max(1);
             let out = self.driver.slice(&mut self.backend, chunk, budget);
             slices += 1;
-            performed += out.performed;
-            if out.performed == 0 {
+            performed += out;
+            if out == 0 {
                 break;
             }
         }
@@ -335,33 +336,20 @@ where
     }
 
     fn leader(&self) -> LeaderReport {
-        let tracker = self.backend.rank_tracker();
         LeaderReport {
-            leaders: tracker.count_of(1),
-            ranked: tracker.is_correct()
-                && self.backend.population_size() == self.backend.configured_n(),
-            index: self.backend.leader_index(),
+            leaders: self.driver.leaders(),
+            ranked: self.driver.is_ranked(),
+            index: self.driver.leader_index(),
         }
     }
 
     fn ranks(&self) -> RanksReport {
-        let tracker = self.backend.rank_tracker();
-        let n0 = self.backend.configured_n();
-        let mut singleton = 0;
-        let mut duplicated = 0;
-        let mut missing = 0;
-        for r in 1..=n0 {
-            match tracker.count_of(r) {
-                0 => missing += 1,
-                1 => singleton += 1,
-                _ => duplicated += 1,
-            }
-        }
+        let ranks = self.driver.ranks();
         RanksReport {
-            ranked: tracker.is_correct() && self.backend.population_size() == n0,
-            singleton_ranks: singleton,
-            duplicated_ranks: duplicated,
-            missing_ranks: missing,
+            ranked: self.driver.is_ranked(),
+            singleton_ranks: ranks.ranks_with_one(),
+            duplicated_ranks: ranks.duplicated_ranks(),
+            missing_ranks: ranks.missing_ranks(),
         }
     }
 
@@ -414,35 +402,7 @@ pub fn create(
     n: u64,
     seed: u64,
 ) -> Result<Box<dyn Managed>, String> {
-    let n = validated_n(n)?;
-    match (protocol, backend) {
-        ("ciw", "agents") => Ok(agents_pop(CaiIzumiWada::new(n), seed)),
-        ("ciw", "counts") => Ok(counts_pop(CaiIzumiWada::new(n), seed)),
-        ("oss", "agents") => Ok(agents_pop(OptimalSilentSsr::new(n), seed)),
-        ("oss", "counts") => Ok(counts_pop(OptimalSilentSsr::new(n), seed)),
-        ("ciw" | "oss", other) => Err(format!("unknown backend {other:?} (agents, counts)")),
-        (other, _) => Err(format!("unknown protocol {other:?} (ciw, oss)")),
-    }
-}
-
-fn agents_pop<P>(protocol: P, seed: u64) -> Box<dyn Managed>
-where
-    P: Corruptor + SnapshotProtocol + Send + Sync + 'static,
-    P::State: Send,
-{
-    let initial = ssle::adversary::random_configuration(&protocol, &mut rng_from_seed(seed ^ 1));
-    let sim = Simulation::new(protocol, initial, seed).with_metrics(Metrics::new());
-    Box::new(Pop::new(sim, seed, false))
-}
-
-fn counts_pop<P>(protocol: P, seed: u64) -> Box<dyn Managed>
-where
-    P: Corruptor + SnapshotProtocol + Send + Sync + 'static,
-    P::State: Eq + std::hash::Hash + Send,
-{
-    let initial = ssle::adversary::random_configuration(&protocol, &mut rng_from_seed(seed ^ 1));
-    let sim = BatchSimulation::new(protocol, initial, seed).with_metrics(Metrics::new());
-    Box::new(Pop::new(sim, seed, false))
+    build(protocol, backend, validated_n(n)?, seed, None)
 }
 
 /// Rehydrates a managed population from a parsed snapshot document.
@@ -456,34 +416,74 @@ where
 /// Returns a message for unknown tags or a document that fails the codec's
 /// validation.
 pub fn restore(doc: &SnapshotDoc, seed: u64) -> Result<Box<dyn Managed>, String> {
-    let err = |e: population::SnapshotError| e.to_string();
-    match (doc.protocol.as_str(), doc.backend.as_str()) {
-        ("ciw", "agents") => {
-            let sim = restore_agents(CaiIzumiWada::new(doc.param as usize), doc).map_err(err)?;
-            Ok(Box::new(Pop::new(sim.with_metrics(Metrics::new()), seed, true)))
-        }
-        ("ciw", "counts") => {
-            let sim = restore_counts(CaiIzumiWada::new(doc.param as usize), doc).map_err(err)?;
-            Ok(Box::new(Pop::new(sim.with_metrics(Metrics::new()), seed, true)))
-        }
-        ("oss", "agents") => {
-            let sim =
-                restore_agents(OptimalSilentSsr::new(doc.param as usize), doc).map_err(err)?;
-            Ok(Box::new(Pop::new(sim.with_metrics(Metrics::new()), seed, true)))
-        }
-        ("oss", "counts") => {
-            let sim =
-                restore_counts(OptimalSilentSsr::new(doc.param as usize), doc).map_err(err)?;
-            Ok(Box::new(Pop::new(sim.with_metrics(Metrics::new()), seed, true)))
-        }
-        (p, b) => Err(format!("cannot serve snapshot of protocol {p:?} on backend {b:?}")),
+    let (p, b) = (doc.protocol.as_str(), doc.backend.as_str());
+    if !matches!((p, b), ("ciw" | "oss", "agents" | "counts")) {
+        return Err(format!("cannot serve snapshot of protocol {p:?} on backend {b:?}"));
     }
+    build(p, b, doc.param as usize, seed, Some(doc))
+}
+
+/// One of the four servable combinations, restored from `doc` when given
+/// and created fresh otherwise.
+fn build(
+    protocol: &str,
+    backend: &str,
+    n: usize,
+    seed: u64,
+    doc: Option<&SnapshotDoc>,
+) -> Result<Box<dyn Managed>, String> {
+    match (protocol, backend) {
+        ("ciw", "agents") => Ok(Box::new(agents_pop(CaiIzumiWada::new(n), seed, doc)?)),
+        ("ciw", "counts") => Ok(Box::new(counts_pop(CaiIzumiWada::new(n), seed, doc)?)),
+        ("oss", "agents") => Ok(Box::new(agents_pop(OptimalSilentSsr::new(n), seed, doc)?)),
+        ("oss", "counts") => Ok(Box::new(counts_pop(OptimalSilentSsr::new(n), seed, doc)?)),
+        ("ciw" | "oss", other) => Err(format!("unknown backend {other:?} (agents, counts)")),
+        (other, _) => Err(format!("unknown protocol {other:?} (ciw, oss)")),
+    }
+}
+
+fn agents_pop<P>(
+    protocol: P,
+    seed: u64,
+    doc: Option<&SnapshotDoc>,
+) -> Result<Pop<P, AgentSim<P>>, String>
+where
+    P: Corruptor + SnapshotProtocol,
+{
+    let sim = match doc {
+        Some(doc) => restore_agents(protocol, doc).map_err(|e| e.to_string())?,
+        None => {
+            let initial = random_configuration(&protocol, &mut rng_from_seed(seed ^ 1));
+            Simulation::new(protocol, initial, seed)
+        }
+    };
+    Ok(Pop::new(sim.with_metrics(Metrics::new()), seed, doc.is_some()))
+}
+
+fn counts_pop<P>(
+    protocol: P,
+    seed: u64,
+    doc: Option<&SnapshotDoc>,
+) -> Result<Pop<P, CountSim<P>>, String>
+where
+    P: Corruptor + SnapshotProtocol,
+    P::State: Eq + std::hash::Hash,
+{
+    let sim = match doc {
+        Some(doc) => restore_counts(protocol, doc).map_err(|e| e.to_string())?,
+        None => {
+            let initial = random_configuration(&protocol, &mut rng_from_seed(seed ^ 1));
+            BatchSimulation::new(protocol, initial, seed)
+        }
+    };
+    Ok(Pop::new(sim.with_metrics(Metrics::new()), seed, doc.is_some()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use population::snapshot::SnapshotDoc;
+    use rand::Rng;
 
     #[test]
     fn create_validates_names_and_sizes() {
@@ -510,42 +510,95 @@ mod tests {
 
     #[test]
     fn events_change_membership_and_queries_reflect_it() {
-        let mut pop = create("oss", "counts", 16, 3).unwrap();
-        assert_eq!(pop.inject(EventKind::Join, 4), 4);
-        assert_eq!(pop.status().live, 20);
-        assert_eq!(pop.inject(EventKind::Leave, 4), 4);
-        assert_eq!(pop.status().live, 16);
-        assert_eq!(pop.inject(EventKind::Corrupt, 5), 5);
-        let s = pop.status();
-        assert_eq!((s.joins, s.leaves, s.corruptions), (4, 4, 5));
-        // Drive to re-stabilization; OSS at n=16 needs far less than this.
-        for _ in 0..10_000 {
-            if pop.leader().ranked {
-                break;
+        for backend in ["agents", "counts"] {
+            let mut pop = create("oss", backend, 16, 3).unwrap();
+            assert_eq!(pop.inject(EventKind::Join, 4), 4);
+            assert_eq!(pop.status().live, 20);
+            assert_eq!(pop.inject(EventKind::Leave, 4), 4);
+            assert_eq!(pop.status().live, 16);
+            assert_eq!(pop.inject(EventKind::Corrupt, 5), 5);
+            let s = pop.status();
+            assert_eq!((s.joins, s.leaves, s.corruptions), (4, 4, 5));
+            // Drive to re-stabilization; OSS at n=16 needs far less than this.
+            for _ in 0..10_000 {
+                if pop.leader().ranked {
+                    break;
+                }
+                pop.step(16 * 16);
             }
-            pop.step(16 * 16);
+            let leader = pop.leader();
+            assert!(leader.ranked, "{backend}: never re-stabilized after events");
+            assert_eq!(leader.leaders, 1);
+            let ranks = pop.ranks();
+            assert_eq!(ranks.singleton_ranks, 16);
+            assert_eq!((ranks.duplicated_ranks, ranks.missing_ranks), (0, 0));
+            // A join leaves the live size off n₀ (this stream's joiner
+            // outputs no rank): no query may report the population ranked.
+            pop.reseed_events(1);
+            pop.inject(EventKind::Join, 1);
+            let (status, last) = (pop.status(), pop.timeline(1)[0]);
+            assert_eq!((status.live, status.ranked, last.ranked), (17, false, false), "{backend}");
+            assert!(!pop.leader().ranked && !pop.ranks().ranked, "{backend}");
         }
-        let leader = pop.leader();
-        assert!(leader.ranked, "never re-stabilized after events");
-        assert_eq!(leader.leaders, 1);
-        let ranks = pop.ranks();
-        assert_eq!(ranks.singleton_ranks, 16);
-        assert_eq!((ranks.duplicated_ranks, ranks.missing_ranks), (0, 0));
+    }
+
+    /// Drives a seeded random mix of step / join / leave / corrupt /
+    /// churn-plan commands and snapshot→restore round trips. After every
+    /// command, `leader`, `ranks`, `status` and the last checkpoint must
+    /// equal answers rebuilt from the backend's states: a fresh probe (rank
+    /// histogram and unique rank-1 index) and a scan of its ranks.
+    fn exercise<P, B>(make: impl Fn(Option<&SnapshotDoc>) -> Result<Pop<P, B>, String>)
+    where
+        P: Corruptor + SnapshotProtocol,
+        B: ServeBackend<P> + Send,
+    {
+        let mut pop = make(None).unwrap();
+        let mut rng = rng_from_seed(pop.seed);
+        let n0 = pop.backend.configured_n();
+        for cmd in 0..120 {
+            let k = rng.gen_range(1..=2);
+            pop.reseed_events(cmd);
+            match rng.gen_range(0..6) {
+                0 | 1 => _ = pop.step(rng.gen_range(1..=40 * n0 as u64)),
+                // Joins and leaves walk the live size around n₀.
+                2 if pop.backend.population_size() <= n0 => _ = pop.inject(EventKind::Join, k),
+                2 => _ = pop.inject(EventKind::Leave, k),
+                3 => _ = pop.inject(EventKind::Corrupt, k),
+                4 => {
+                    let t = pop.driver.parallel_time();
+                    pop.set_churn(&ChurnPlan::new(cmd).join_at(t + 1.0, k).leave_at(t + 3.0, k));
+                }
+                _ => {
+                    let doc = SnapshotDoc::from_jsonl(&pop.snapshot_jsonl()).unwrap();
+                    pop = make(Some(&doc)).unwrap();
+                }
+            }
+            let (tracker, index) = pop.backend.rank_probe();
+            let live = pop.backend.population_size();
+            let (ranked, leaders) = (tracker.is_correct() && live == n0, tracker.count_of(1));
+            let tally =
+                |keep: fn(u32) -> bool| (1..=n0).filter(|&r| keep(tracker.count_of(r))).count();
+            let (singleton_ranks, duplicated_ranks, missing_ranks) =
+                (tally(|c| c == 1), tally(|c| c > 1), tally(|c| c == 0));
+            let at = format!("{} command {cmd}", P::TAG);
+            assert_eq!(pop.leader(), LeaderReport { leaders, ranked, index }, "{at}");
+            let want = RanksReport { ranked, singleton_ranks, duplicated_ranks, missing_ranks };
+            assert_eq!(pop.ranks(), want, "{at}");
+            let (status, last) = (pop.status(), pop.timeline(1)[0]);
+            assert_eq!((status.ranked, status.leaders, status.live), (ranked, leaders, live));
+            assert_eq!((last.ranked, last.leaders, last.live), (ranked, leaders, live));
+        }
     }
 
     #[test]
-    fn leader_index_only_on_agents() {
-        let mut agents = create("ciw", "agents", 8, 5).unwrap();
-        while !agents.leader().ranked {
-            agents.step(8 * 64);
+    fn cached_answers_match_a_rebuild_from_scratch() {
+        let (ciw, oss) = (|| CaiIzumiWada::new(10), || OptimalSilentSsr::new(10));
+        for seed in 0..3 {
+            exercise(|doc| agents_pop(ciw(), seed, doc));
+            exercise(|doc| agents_pop(oss(), seed, doc));
+            exercise(|doc| counts_pop(ciw(), seed, doc));
+            exercise(|doc| counts_pop(oss(), seed, doc));
         }
-        assert!(agents.leader().index.is_some());
-
-        let mut counts = create("ciw", "counts", 8, 5).unwrap();
-        while !counts.leader().ranked {
-            counts.step(8 * 64);
-        }
-        assert_eq!(counts.leader().index, None);
     }
 
     #[test]

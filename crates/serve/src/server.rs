@@ -842,6 +842,11 @@ mod tests {
         let leader = handle_line(&registry, &stop, r#"{"cmd":"leader","name":"a"}"#);
         assert!(leader.contains("\"leaders\":"), "{leader}");
 
+        let ranks = handle_line(&registry, &stop, r#"{"cmd":"ranks","name":"a"}"#);
+        for field in ["ranked", "singleton_ranks", "duplicated_ranks", "missing_ranks"] {
+            assert!(ranks.contains(&format!("\"{field}\":")), "{ranks}");
+        }
+
         let timeline = handle_line(&registry, &stop, r#"{"cmd":"timeline","name":"a","last":4}"#);
         assert!(timeline.contains("\"timeline\":["), "{timeline}");
 

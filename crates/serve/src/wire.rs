@@ -16,8 +16,8 @@
 //! | `step` | `name, [interactions], [id]` | performed, status |
 //! | `join` / `leave` / `corrupt` | `name, [k], [id]` | applied, status |
 //! | `churn-plan` | `name, spec, [seed], [id]` | status |
-//! | `leader` | `name` | leaders, ranked, leader_index? |
-//! | `ranks` | `name` | ranked, distinct_ranks, duplicated, missing |
+//! | `leader` | `name` | leaders, ranked, leader_index (`null` on counts) |
+//! | `ranks` | `name` | ranked, singleton_ranks, duplicated_ranks, missing_ranks |
 //! | `status` | `name` | full status |
 //! | `timeline` | `name, [last]` | checkpoint array |
 //! | `metrics` | `name` | embedded engine metrics record |
