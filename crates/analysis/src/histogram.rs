@@ -123,9 +123,9 @@ pub struct BucketSummary {
 }
 
 /// Summarizes labeled histogram buckets; `None` when the buckets carry no
-/// mass at all.
+/// mass at all. The total saturates at `u64::MAX` rather than overflowing.
 pub fn summarize_buckets(buckets: &[(String, u64)]) -> Option<BucketSummary> {
-    let total: u64 = buckets.iter().map(|(_, c)| c).sum();
+    let total = buckets.iter().fold(0, |total: u64, (_, c)| total.saturating_add(*c));
     if total == 0 {
         return None;
     }
