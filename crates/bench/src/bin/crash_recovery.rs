@@ -91,6 +91,11 @@ fn run_cell(cell: &Cell, n: u64, ops: usize, seed: u64, scratch: &Path) -> Crash
     reg.create("c", "ciw", cell.backend, n, seed, None).expect("create");
     for op in &stream[..applied] {
         reg.apply("c", op.clone(), None).expect("apply");
+        // An autosnapshot finishes on a thread of its own, and its
+        // rotation fsyncs the entries appended meanwhile. Settling it
+        // before the next command keeps the journal the crash truncates,
+        // and so the loss reported, independent of thread timing.
+        reg.settle();
     }
     // The crash: no shutdown snapshot, and everything past the last
     // fsync'd byte of the journal never reached the platter.

@@ -151,18 +151,11 @@ impl Field for u64 {
         obj.field_u64(key, *self);
     }
     fn read(raw: &Raw<'_>) -> Result<Self, String> {
-        let expected = || "a non-negative integer".to_string();
-        let Raw::Num(text) = raw else { return Err(expected()) };
-        if let Ok(x) = text.parse() {
-            return Ok(x);
+        match raw {
+            Raw::Num(text) => exact_u64(text),
+            _ => None,
         }
-        // Integral spellings such as `12.0` or `1e3`, exact up to 2^53.
-        let x = parse_number(text)?;
-        if x >= 0.0 && x.fract() == 0.0 && x <= 2f64.powi(53) {
-            Ok(x as u64)
-        } else {
-            Err(expected())
-        }
+        .ok_or_else(|| "a non-negative integer".to_string())
     }
 }
 
@@ -1270,6 +1263,67 @@ pub fn parse_flat_json(input: &str) -> Result<BTreeMap<String, JsonScalar>, Stri
             Raw::Null => JsonScalar::Null,
         })
     })
+}
+
+/// A scalar value in a flat JSON object as [`parse_flat_json_exact`] reads
+/// it: a number keeps its text, so an integer reads back exactly through
+/// [`ExactScalar::as_u64`] rather than through `f64`.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ExactScalar {
+    /// A JSON string (unescaped).
+    Str(String),
+    /// A JSON number, as written.
+    Num(String),
+    /// A JSON boolean.
+    Bool(bool),
+    /// JSON `null`.
+    Null,
+}
+
+impl ExactScalar {
+    /// The value as a non-negative integer: every `u64` exactly, plus
+    /// integral spellings such as `12.0` or `1e3` up to 2⁵³. `None` for
+    /// anything else.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            ExactScalar::Num(text) => exact_u64(text),
+            _ => None,
+        }
+    }
+
+    /// The value as a string, if it is one.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            ExactScalar::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+/// Parses a flat JSON object like [`parse_flat_json`], keeping each
+/// number's text so integer fields read exactly.
+pub fn parse_flat_json_exact(input: &str) -> Result<BTreeMap<String, ExactScalar>, String> {
+    parse_object(input, |raw| {
+        Ok(match raw {
+            Raw::Str(s) => ExactScalar::Str(s),
+            Raw::Num(text) => {
+                parse_number(text)?;
+                ExactScalar::Num(text.to_string())
+            }
+            Raw::Bool(b) => ExactScalar::Bool(b),
+            Raw::Null => ExactScalar::Null,
+        })
+    })
+}
+
+/// Reads a number's text as a non-negative integer: every `u64` exactly,
+/// and integral spellings such as `12.0` or `1e3` up to 2⁵³.
+fn exact_u64(text: &str) -> Option<u64> {
+    if let Ok(x) = text.parse() {
+        return Some(x);
+    }
+    let x = parse_number(text).ok()?;
+    (x >= 0.0 && x.fract() == 0.0 && x <= 2f64.powi(53)).then_some(x as u64)
 }
 
 /// Parses a number's text (as scanned by the parser) into an `f64`.

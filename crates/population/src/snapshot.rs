@@ -22,8 +22,8 @@
 //! A snapshot is line-delimited JSON (the repository's only serialization
 //! idiom — see [`crate::record`]): a header line, one `snapshot-run` line
 //! per run/entry, and a footer line whose `runs` count detects
-//! truncation. The RNG state rides as a 64-hex-digit string because JSON
-//! numbers are `f64` and lose `u64` precision above 2⁵³.
+//! truncation. The RNG state rides as one 64-hex-digit string; integer
+//! fields are read from their text, so every `u64` reads back as written.
 //!
 //! ```text
 //! {"v":1,"kind":"snapshot","protocol":"ciw","backend":"counts","param":50,"live":50,"interactions":1200,"rng":"<64 hex>"}
@@ -36,6 +36,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::io::{self, Write};
 
 use rand::rngs::SmallRng;
 
@@ -44,7 +45,7 @@ use crate::fault::FaultSchedule;
 use crate::metrics::MetricsSink;
 use crate::observer::Observer;
 use crate::protocol::Protocol;
-use crate::record::{parse_flat_json, JsonObject, JsonScalar};
+use crate::record::{parse_flat_json_exact, ExactScalar, JsonObject};
 use crate::scheduler::Scheduler;
 use crate::simulation::Simulation;
 
@@ -143,11 +144,22 @@ pub struct SnapshotDoc {
 impl SnapshotDoc {
     /// Serializes to the versioned JSONL format.
     pub fn to_jsonl(&self) -> String {
+        let mut out = Vec::new();
+        self.write_jsonl(&mut out).expect("writing to a Vec cannot fail");
+        String::from_utf8(out).expect("the encoder writes UTF-8")
+    }
+
+    /// Streams the versioned JSONL format into `out` one line at a time,
+    /// so the full text is never held in memory.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `out` reports.
+    pub fn write_jsonl(&self, out: &mut impl Write) -> io::Result<()> {
         let mut rng_hex = String::with_capacity(64);
         for word in self.rng {
             rng_hex.push_str(&format!("{word:016x}"));
         }
-        let mut out = String::new();
         let mut header = JsonObject::new();
         header
             .field_u64("v", SNAPSHOT_VERSION)
@@ -161,19 +173,15 @@ impl SnapshotDoc {
         if self.seq != 0 {
             header.field_u64("seq", self.seq);
         }
-        out.push_str(&header.finish());
-        out.push('\n');
+        writeln!(out, "{}", header.finish())?;
         for (state, count) in &self.runs {
             let mut line = JsonObject::new();
             line.field_str("kind", "snapshot-run").field_str("s", state).field_u64("c", *count);
-            out.push_str(&line.finish());
-            out.push('\n');
+            writeln!(out, "{}", line.finish())?;
         }
         let mut footer = JsonObject::new();
         footer.field_str("kind", "snapshot-end").field_u64("runs", self.runs.len() as u64);
-        out.push_str(&footer.finish());
-        out.push('\n');
-        out
+        writeln!(out, "{}", footer.finish())
     }
 
     /// Parses the versioned JSONL format, validating structure: header
@@ -244,8 +252,9 @@ impl SnapshotDoc {
             }
             Some(_) => {}
         }
-        let total: u64 = doc.runs.iter().map(|(_, c)| c).sum();
-        if total != doc.live {
+        let total = doc.runs.iter().try_fold(0u64, |sum, (_, c)| sum.checked_add(*c));
+        if total != Some(doc.live) {
+            let total = total.map_or("more than 2^64".to_string(), |t| t.to_string());
             return Err(corrupt(
                 0,
                 &format!("runs sum to {total} agents, header says {} live", doc.live),
@@ -259,28 +268,20 @@ fn corrupt(lineno: usize, reason: &str) -> SnapshotError {
     SnapshotError::Corrupt { line: lineno + 1, reason: reason.to_string() }
 }
 
-fn parse_line(lineno: usize, line: &str) -> Result<BTreeMap<String, JsonScalar>, SnapshotError> {
-    parse_flat_json(line).map_err(|reason| corrupt(lineno, &reason))
+fn parse_line(lineno: usize, line: &str) -> Result<BTreeMap<String, ExactScalar>, SnapshotError> {
+    parse_flat_json_exact(line).map_err(|reason| corrupt(lineno, &reason))
 }
 
-fn kind(obj: &BTreeMap<String, JsonScalar>) -> Option<&str> {
+fn kind(obj: &BTreeMap<String, ExactScalar>) -> Option<&str> {
     get_str(obj, "kind")
 }
 
-fn get_str<'a>(obj: &'a BTreeMap<String, JsonScalar>, key: &str) -> Option<&'a str> {
-    match obj.get(key) {
-        Some(JsonScalar::Str(s)) => Some(s),
-        _ => None,
-    }
+fn get_str<'a>(obj: &'a BTreeMap<String, ExactScalar>, key: &str) -> Option<&'a str> {
+    obj.get(key).and_then(ExactScalar::as_str)
 }
 
-fn get_u64(obj: &BTreeMap<String, JsonScalar>, key: &str) -> Option<u64> {
-    match obj.get(key) {
-        Some(JsonScalar::Num(x)) if *x >= 0.0 && x.fract() == 0.0 && *x <= 2f64.powi(53) => {
-            Some(*x as u64)
-        }
-        _ => None,
-    }
+fn get_u64(obj: &BTreeMap<String, ExactScalar>, key: &str) -> Option<u64> {
+    obj.get(key).and_then(ExactScalar::as_u64)
 }
 
 fn parse_rng_hex(hex: &str) -> Result<[u64; 4], String> {
@@ -629,5 +630,18 @@ mod tests {
             runs: vec![("0".to_string(), 2)],
         };
         assert_eq!(doc_round_trip(&doc).rng, doc.rng);
+    }
+
+    #[test]
+    fn integers_above_2_pow_53_restore_exactly() {
+        let n = 4;
+        let sim = Simulation::new(TokenRank { n }, vec![0, 1, 2, 3], 5);
+        let mut doc = snapshot_agents(&sim);
+        doc.interactions = (1 << 53) + 1;
+        doc.seq = u64::MAX;
+        let parsed = doc_round_trip(&doc);
+        assert_eq!((parsed.interactions, parsed.seq), (doc.interactions, doc.seq));
+        let restored = restore_agents(TokenRank { n }, &parsed).expect("restore");
+        assert_eq!(restored.interactions(), (1 << 53) + 1);
     }
 }

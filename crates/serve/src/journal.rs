@@ -28,12 +28,12 @@
 //! it reliably and drops it. An unparsable line *before* the last one, or
 //! a gap in the sequence numbers, is real corruption and fails the load.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use population::record::{parse_flat_json, JsonObject, JsonScalar};
+use population::record::{parse_flat_json_exact, ExactScalar, JsonObject};
 
 /// Suffix of every journal file the registry reads and writes.
 pub const JOURNAL_SUFFIX: &str = ".journal.jsonl";
@@ -173,9 +173,7 @@ impl Entry {
         obj.finish()
     }
 
-    fn from_fields(
-        fields: &std::collections::BTreeMap<String, JsonScalar>,
-    ) -> Result<Self, String> {
+    fn from_fields(fields: &BTreeMap<String, ExactScalar>) -> Result<Self, String> {
         let seq = scalar_u64(fields, "seq")?;
         let op = match scalar_str(fields, "op")? {
             "step" => Op::Step(scalar_u64(fields, "k")?),
@@ -188,7 +186,7 @@ impl Entry {
             other => return Err(format!("unknown journal op {other:?}")),
         };
         let id = match fields.get("id") {
-            Some(JsonScalar::Str(s)) => Some(s.clone()),
+            Some(ExactScalar::Str(s)) => Some(s.clone()),
             None => None,
             Some(other) => return Err(format!("field \"id\": expected string, got {other:?}")),
         };
@@ -243,9 +241,7 @@ impl Header {
         obj.finish()
     }
 
-    fn from_fields(
-        fields: &std::collections::BTreeMap<String, JsonScalar>,
-    ) -> Result<Self, String> {
+    fn from_fields(fields: &BTreeMap<String, ExactScalar>) -> Result<Self, String> {
         let v = scalar_u64(fields, "v")?;
         if v != WAL_VERSION {
             return Err(format!("unsupported journal version {v} (writer supports {WAL_VERSION})"));
@@ -257,7 +253,7 @@ impl Header {
             ids_str.split(',').map(str::to_string).collect()
         };
         let churn = match fields.get("churn_spec") {
-            Some(JsonScalar::Str(spec)) => Some((spec.clone(), scalar_u64(fields, "churn_seed")?)),
+            Some(ExactScalar::Str(spec)) => Some((spec.clone(), scalar_u64(fields, "churn_seed")?)),
             None => None,
             Some(other) => {
                 return Err(format!("field \"churn_spec\": expected string, got {other:?}"))
@@ -276,28 +272,19 @@ impl Header {
     }
 }
 
-fn scalar_str<'a>(
-    fields: &'a std::collections::BTreeMap<String, JsonScalar>,
-    key: &str,
-) -> Result<&'a str, String> {
+fn scalar_str<'a>(fields: &'a BTreeMap<String, ExactScalar>, key: &str) -> Result<&'a str, String> {
     match fields.get(key) {
-        Some(JsonScalar::Str(s)) => Ok(s),
+        Some(ExactScalar::Str(s)) => Ok(s),
         Some(other) => Err(format!("field {key:?}: expected string, got {other:?}")),
         None => Err(format!("missing field {key:?}")),
     }
 }
 
-fn scalar_u64(
-    fields: &std::collections::BTreeMap<String, JsonScalar>,
-    key: &str,
-) -> Result<u64, String> {
+fn scalar_u64(fields: &BTreeMap<String, ExactScalar>, key: &str) -> Result<u64, String> {
     match fields.get(key) {
-        Some(JsonScalar::Num(x)) if *x >= 0.0 && x.fract() == 0.0 && *x <= 2f64.powi(53) => {
-            Ok(*x as u64)
-        }
-        Some(other) => {
-            Err(format!("field {key:?}: expected a non-negative integer, got {other:?}"))
-        }
+        Some(value) => value.as_u64().ok_or_else(|| {
+            format!("field {key:?}: expected a non-negative integer, got {value:?}")
+        }),
         None => Err(format!("missing field {key:?}")),
     }
 }
@@ -351,7 +338,7 @@ impl JournalDoc {
             lineno += 1;
             if !line.trim().is_empty() {
                 let parsed =
-                    parse_flat_json(line.trim()).map_err(|e| e.to_string()).and_then(|fields| {
+                    parse_flat_json_exact(line.trim()).and_then(|fields| {
                         match scalar_str(&fields, "kind")? {
                             "wal" => Header::from_fields(&fields).map(Some),
                             "wal-entry" => {
@@ -388,7 +375,7 @@ impl JournalDoc {
         let header = header.ok_or_else(|| "journal has no header line".to_string())?;
         let mut expected = header.base_seq;
         for e in &entries {
-            expected += 1;
+            expected = expected.checked_add(1).ok_or("journal sequence exhausted")?;
             if e.seq != expected {
                 return Err(format!(
                     "journal sequence gap: expected seq {expected}, found {}",
@@ -396,7 +383,12 @@ impl JournalDoc {
                 ));
             }
         }
-        Ok(JournalDoc { header, entries, valid_len, torn_tail })
+        let doc = JournalDoc { header, entries, valid_len, torn_tail };
+        // The next append takes `last_seq + 1`, which must exist.
+        if doc.last_seq() == u64::MAX {
+            return Err("journal sequence exhausted".to_string());
+        }
+        Ok(doc)
     }
 }
 
@@ -405,6 +397,7 @@ pub struct Wal {
     file: File,
     path: PathBuf,
     policy: FsyncPolicy,
+    base_seq: u64,
     next_seq: u64,
     since_sync: u64,
     len: u64,
@@ -431,6 +424,7 @@ impl Wal {
             file,
             path: path.to_path_buf(),
             policy,
+            base_seq: header.base_seq,
             next_seq: header.base_seq + 1,
             since_sync: 0,
             len,
@@ -456,6 +450,7 @@ impl Wal {
             file,
             path: path.to_path_buf(),
             policy,
+            base_seq: doc.header.base_seq,
             next_seq: doc.last_seq() + 1,
             since_sync: 0,
             len: doc.valid_len,
@@ -463,11 +458,16 @@ impl Wal {
         };
         // Position at the end for appends (OpenOptions::append would
         // fight set_len bookkeeping on some platforms; seek is explicit).
-        use std::io::Seek;
         wal.file
-            .seek(std::io::SeekFrom::Start(doc.valid_len))
+            .seek(SeekFrom::Start(doc.valid_len))
             .map_err(|e| format!("seek {}: {e}", wal.path.display()))?;
         Ok(wal)
+    }
+
+    /// The sequence number the journal's header says is already covered
+    /// by a snapshot; it changes only when the journal is rotated.
+    pub(crate) fn base_seq(&self) -> u64 {
+        self.base_seq
     }
 
     /// The sequence number the next appended entry will take.
@@ -528,12 +528,16 @@ impl Wal {
         Ok(entry.seq)
     }
 
-    /// Forces everything appended so far to disk.
+    /// Forces everything appended so far to disk; a no-op when nothing
+    /// is unsynced.
     ///
     /// # Errors
     ///
     /// Returns filesystem errors as strings.
     pub fn sync(&mut self) -> Result<(), String> {
+        if self.synced_len == self.len {
+            return Ok(());
+        }
         crate::obs::time_span(crate::obs::Span::Fsync, || self.file.sync_all())
             .map_err(|e| format!("sync {}: {e}", self.path.display()))?;
         self.since_sync = 0;
@@ -541,35 +545,68 @@ impl Wal {
         Ok(())
     }
 
-    /// Atomically replaces the journal with a fresh one (the
-    /// snapshot-truncation step): writes the new header to a temp file,
-    /// fsyncs, renames over the old journal, and rearms this handle.
+    /// Atomically replaces the journal with one that starts at a new
+    /// snapshot (the truncation step): writes `header` to a temp file,
+    /// copies after it every entry from byte `offset` on — the entries
+    /// appended while the snapshot was written — fsyncs, renames it over
+    /// the old journal, and rearms this handle to append to it.
     ///
-    /// The caller must have written (and fsynced) the snapshot covering
-    /// `header.base_seq` *before* rotating — a crash between the two then
-    /// recovers from the snapshot plus the old journal's tail, never
-    /// losing acknowledged entries.
+    /// `offset` must be where entry `header.base_seq + 1` starts (the
+    /// journal's length when the snapshot was frozen), and the caller must
+    /// have written and fsynced the snapshot covering `header.base_seq`
+    /// *before* rotating: a crash between the two then recovers from the
+    /// snapshot plus the old journal, never losing acknowledged entries.
     ///
     /// # Errors
     ///
-    /// Returns filesystem errors as strings; on error the old journal is
-    /// still in place and this handle still appends to it.
-    pub fn rotate(&mut self, header: &Header) -> Result<(), String> {
-        let tmp = self.path.with_extension("tmp");
+    /// Returns filesystem errors as strings. An error before the rename
+    /// leaves the old journal in place and this handle appending to it;
+    /// one syncing the directory after it leaves the new journal in place
+    /// and this handle appending to that.
+    pub fn rotate_keeping(&mut self, header: &Header, offset: u64) -> Result<(), String> {
+        let path = &self.path;
+        let kept = self
+            .len
+            .checked_sub(offset)
+            .ok_or_else(|| format!("rotate {}: offset {offset} is past the end", path.display()))?;
+        let mut tail = Vec::new();
+        File::open(path)
+            .and_then(|mut old| {
+                old.seek(SeekFrom::Start(offset))?;
+                old.take(kept).read_to_end(&mut tail)
+            })
+            .map_err(|e| format!("read {}: {e}", path.display()))?;
+        if tail.len() as u64 != kept {
+            return Err(format!("read {}: journal shorter than {}", path.display(), self.len));
+        }
+        let tmp = path.with_extension("tmp");
         let mut file = File::create(&tmp).map_err(|e| format!("create {}: {e}", tmp.display()))?;
         let line = format!("{}\n", header.to_json());
-        file.write_all(line.as_bytes()).map_err(|e| format!("write {}: {e}", tmp.display()))?;
-        file.sync_all().map_err(|e| format!("sync {}: {e}", tmp.display()))?;
-        fs::rename(&tmp, &self.path)
-            .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), self.path.display()))?;
-        let len = line.len() as u64;
+        file.write_all(line.as_bytes())
+            .and_then(|()| file.write_all(&tail))
+            .and_then(|()| file.sync_all())
+            .map_err(|e| format!("write {}: {e}", tmp.display()))?;
+        fs::rename(&tmp, path)
+            .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))?;
+        let len = line.len() as u64 + kept;
         self.file = file;
-        self.next_seq = header.base_seq + 1;
+        self.base_seq = header.base_seq;
         self.since_sync = 0;
         self.len = len;
         self.synced_len = len;
-        Ok(())
+        sync_parent(&self.path)
     }
+}
+
+/// Fsyncs the directory holding `path`, so a rename into it survives a
+/// crash.
+///
+/// # Errors
+///
+/// Returns filesystem errors as strings.
+pub(crate) fn sync_parent(path: &Path) -> Result<(), String> {
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    File::open(dir).and_then(|d| d.sync_all()).map_err(|e| format!("sync {}: {e}", dir.display()))
 }
 
 fn map_id(id: Option<&str>) -> Option<String> {
@@ -750,7 +787,7 @@ mod tests {
 
         // Rotation replaces the file with a fresh header at base_seq 2.
         let rotated = Header { base_seq: 2, ids: vec!["r-1".to_string()], ..sample_header() };
-        wal.rotate(&rotated).unwrap();
+        wal.rotate_keeping(&rotated, wal.len()).unwrap();
         assert_eq!(wal.next_seq(), 3);
         assert_eq!(wal.append(Op::Corrupt(1), None).unwrap(), 3);
         let doc = JournalDoc::parse(&fs::read_to_string(&path).unwrap()).unwrap();

@@ -23,8 +23,10 @@
 //!   (configurable fsync policy, torn-tail-tolerant parsing, bounded
 //!   request-id dedup window);
 //! * [`registry`] — the named-population map plus the durability and
-//!   self-healing layer: journal-then-apply writes, auto-snapshot with
-//!   journal rotation, restore-on-boot (snapshot + journal tail), and
+//!   self-healing layer: journal-then-apply writes, snapshots frozen
+//!   under the population lock and written off it (autosnapshots on a
+//!   background thread), journal rotation that keeps the entries appended
+//!   meanwhile, restore-on-boot (snapshot + journal tail), and
 //!   quarantine-and-heal for poisoned populations;
 //! * [`server`] — nonblocking accept loop, request dispatch with bounded
 //!   request lines and per-line read deadlines, SIGINT/SIGTERM →

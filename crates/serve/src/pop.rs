@@ -173,8 +173,13 @@ pub trait Managed: Send {
     fn timeline(&self, last: usize) -> Vec<Checkpoint>;
     /// The engine-metrics record for this population as a JSONL row.
     fn metrics_record_json(&self, experiment: &str) -> String;
+    /// The population's snapshot document (`seq` 0: the caller stamps the
+    /// journal sequence it covers).
+    fn snapshot_doc(&self) -> SnapshotDoc;
     /// Serializes the population to the versioned snapshot format.
-    fn snapshot_jsonl(&self) -> String;
+    fn snapshot_jsonl(&self) -> String {
+        self.snapshot_doc().to_jsonl()
+    }
 }
 
 /// The backend-specific pieces [`Pop`] cannot get through
@@ -373,8 +378,8 @@ where
             .to_json()
     }
 
-    fn snapshot_jsonl(&self) -> String {
-        self.backend.snapshot_doc().to_jsonl()
+    fn snapshot_doc(&self) -> SnapshotDoc {
+        self.backend.snapshot_doc()
     }
 }
 

@@ -18,19 +18,36 @@
 //! recovery replays the journal tail on top of the last snapshot and then
 //! re-snapshots, so any crash state normalizes to a clean
 //! snapshot-plus-empty-journal pair.
+//!
+//! **Snapshots hold the population lock only to freeze.** Under the lock a
+//! snapshot syncs the journal, builds the snapshot document at the
+//! population's seq `S`, and notes the journal offset just past entry `S`.
+//! Off the lock it streams the document to a temp file, fsyncs it and
+//! renames it into place; back under the lock it rotates the journal to a
+//! header at `base_seq = S` followed by the entries appended meanwhile.
+//! The snapshot is durable before the rotation starts, so a crash anywhere
+//! recovers from the snapshot plus a journal that covers everything after
+//! it. The autosnapshot runs the off-lock part on a thread of its own, so
+//! the write that triggers it replies at once; the explicit `snapshot`
+//! command, shutdown's [`Registry::snapshot_all`] and boot recovery run the
+//! same steps in the caller. A per-population gate keeps at most one
+//! snapshot in flight; `delete`, healing, `snapshot_all` and dropping the
+//! registry wait for it, so no snapshot thread outlives any of them.
 
 use std::collections::HashMap;
-use std::fs;
-use std::io::Write;
+use std::fs::{self, File};
+use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, JoinHandle};
 
 use population::dynamics::ChurnPlan;
 use population::snapshot::SnapshotDoc;
 
 use crate::journal::{
-    valid_request_id, DedupWindow, FsyncPolicy, Header, JournalDoc, Op, Wal, JOURNAL_SUFFIX,
+    sync_parent, valid_request_id, DedupWindow, FsyncPolicy, Header, JournalDoc, Op, Wal,
+    JOURNAL_SUFFIX,
 };
 use crate::obs::{self, ServerStats, Span};
 use crate::pop::{self, EventKind, Managed, Status, StepReport};
@@ -74,6 +91,224 @@ pub struct PopCell {
     /// population snapshot cannot capture, carried in the journal header
     /// across rotations instead.
     pub churn: Option<(String, u64)>,
+    /// Serializes the population's snapshots; kept across a heal.
+    snapshots: Arc<SnapshotGate>,
+}
+
+impl PopCell {
+    /// The journal header for a journal starting at the cell's seq.
+    fn journal_header(&self, name: &str) -> Header {
+        let status = self.pop.status();
+        Header {
+            name: name.to_string(),
+            protocol: status.protocol.to_string(),
+            backend: status.backend.to_string(),
+            n: status.n0 as u64,
+            // The cell's creation seed, not `status.seed`: a restored
+            // population reports seed 0, and losing the real seed would
+            // desynchronize injected-event replay.
+            seed: self.seed,
+            base_seq: self.seq,
+            ids: self.dedup.ids(),
+            churn: self.churn.clone(),
+        }
+    }
+
+    /// The part of a snapshot that runs under the population lock: syncs
+    /// the journal (the snapshot must never be ahead of it), builds the
+    /// document at the cell's seq and notes where the journal's next entry
+    /// will start.
+    fn freeze(&mut self, dir: &Path, name: &str) -> Result<Frozen, String> {
+        let wal = self.wal.as_mut().ok_or_else(|| format!("population {name:?} has no journal"))?;
+        wal.sync()?;
+        let (journal_base, offset) = (wal.base_seq(), wal.len());
+        let mut doc = self.pop.snapshot_doc();
+        doc.seq = self.seq;
+        Ok(Frozen {
+            doc,
+            path: snapshot_path(dir, name),
+            header: self.journal_header(name),
+            journal_base,
+            offset,
+        })
+    }
+
+    /// The last part of a snapshot, back under the population lock once
+    /// its file is durable: rotates the journal past it, keeping the
+    /// entries appended meanwhile. A journal rotated or rebuilt since the
+    /// freeze is left alone.
+    fn rotate(&mut self, frozen: &Frozen) -> Result<(), String> {
+        match self.wal.as_mut() {
+            Some(wal) if wal.base_seq() == frozen.journal_base => {
+                wal.rotate_keeping(&frozen.header, frozen.offset)?;
+                self.snapshot_seq = frozen.doc.seq;
+                Ok(())
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
+/// A snapshot frozen under the population lock: what writing it and
+/// rotating the journal against it need.
+struct Frozen {
+    doc: SnapshotDoc,
+    /// Where the snapshot goes.
+    path: PathBuf,
+    /// The rotated journal's header: `base_seq` is the document's seq,
+    /// and the dedup ids and churn binding are those at that seq.
+    header: Header,
+    /// The journal's `base_seq` at the freeze.
+    journal_base: u64,
+    /// Journal byte offset just past entry `doc.seq`.
+    offset: u64,
+}
+
+impl Frozen {
+    /// Streams the document to a temp file, fsyncs it, renames it over the
+    /// population's snapshot (a crash mid-write never leaves a truncated
+    /// snapshot under the restorable name) and fsyncs the directory, so
+    /// the snapshot is durable before the journal rotates against it.
+    fn write(&self) -> Result<(), String> {
+        let dir = self.path.parent().expect("snapshot paths are inside the state directory");
+        fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+        let mut tmp = self.path.clone().into_os_string();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
+        let write = || -> std::io::Result<()> {
+            let mut out = BufWriter::new(File::create(&tmp)?);
+            self.doc.write_jsonl(&mut out)?;
+            out.into_inner().map_err(|e| e.into_error())?.sync_all()
+        };
+        write().map_err(|e| format!("write {}: {e}", tmp.display()))?;
+        fs::rename(&tmp, &self.path)
+            .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), self.path.display()))?;
+        sync_parent(&self.path)
+    }
+}
+
+/// Writes a frozen snapshot, then takes the population lock only to rotate
+/// the journal against it. A cell poisoned meanwhile is left to its heal,
+/// which rebuilds it from these files.
+fn finish_snapshot(slot: &Slot, frozen: &Frozen) -> Result<(), String> {
+    frozen.write()?;
+    match slot.lock() {
+        Ok(mut cell) => cell.rotate(frozen),
+        Err(_) => Ok(()),
+    }
+}
+
+/// Serializes one population's snapshots: at most one is in flight. The
+/// autosnapshot skips a busy gate; everything else waits for it.
+#[derive(Default)]
+struct SnapshotGate {
+    state: Mutex<GateState>,
+    idle: Condvar,
+}
+
+#[derive(Default)]
+struct GateState {
+    /// A snapshot is in flight: claimed, and not yet released or joined.
+    busy: bool,
+    /// The population was deleted: no snapshot may start.
+    closed: bool,
+    /// The thread an autosnapshot runs on, until it is joined.
+    thread: Option<JoinHandle<()>>,
+}
+
+/// The right to run one snapshot of a population; released on drop.
+struct Claim {
+    gate: Arc<SnapshotGate>,
+    held: bool,
+}
+
+impl SnapshotGate {
+    fn state(&self) -> MutexGuard<'_, GateState> {
+        // Every update below leaves the state valid, so a poisoned lock
+        // is adopted as-is.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits until no snapshot is in flight, joining the thread of a
+    /// finished one, and returns the idle state still locked.
+    fn idle(&self) -> MutexGuard<'_, GateState> {
+        let mut state = self.state();
+        loop {
+            if let Some(thread) = state.thread.take() {
+                drop(state);
+                // A panicked snapshot left the files as a crash would,
+                // which recovery handles.
+                let _ = thread.join();
+                state = self.state();
+                state.busy = false;
+                self.idle.notify_all();
+            } else if state.busy {
+                state = self.idle.wait(state).unwrap_or_else(PoisonError::into_inner);
+            } else {
+                return state;
+            }
+        }
+    }
+
+    /// Claims the gate, waiting out an in-flight snapshot; `None` once the
+    /// population is deleted.
+    fn claim(self: &Arc<Self>) -> Option<Claim> {
+        let mut state = self.idle();
+        if state.closed {
+            return None;
+        }
+        state.busy = true;
+        Some(Claim { gate: Arc::clone(self), held: true })
+    }
+
+    /// Claims the gate only when no snapshot is in flight: the
+    /// autosnapshot claims under the population lock, so it must not wait.
+    fn try_claim(self: &Arc<Self>) -> Option<Claim> {
+        let mut state = self.state();
+        if state.thread.as_ref().is_some_and(JoinHandle::is_finished) {
+            let _ = state.thread.take().map(JoinHandle::join);
+            state.busy = false;
+        }
+        if state.busy || state.closed {
+            return None;
+        }
+        state.busy = true;
+        Some(Claim { gate: Arc::clone(self), held: true })
+    }
+
+    /// Waits out the in-flight snapshot; `close` also refuses every later
+    /// claim.
+    fn settle(&self, close: bool) {
+        self.idle().closed |= close;
+    }
+}
+
+impl Claim {
+    /// Runs `job` on a thread of its own; the gate stays busy until that
+    /// thread is joined. If no thread can be spawned the claim is released
+    /// and the job dropped.
+    fn spawn(mut self, job: impl FnOnce() + Send + 'static) {
+        if let Ok(thread) = thread::Builder::new().name("autosnapshot".to_string()).spawn(job) {
+            self.gate.state().thread = Some(thread);
+            self.held = false;
+            // Waiters parked on `busy` now come to join the thread.
+            self.gate.idle.notify_all();
+        }
+    }
+}
+
+impl Drop for Claim {
+    fn drop(&mut self) {
+        if self.held {
+            self.gate.state().busy = false;
+            self.gate.idle.notify_all();
+        }
+    }
+}
+
+/// The gate of a slot's population, whether or not the slot is poisoned.
+fn gate_of(slot: &Slot) -> Arc<SnapshotGate> {
+    Arc::clone(&slot.lock().unwrap_or_else(PoisonError::into_inner).snapshots)
 }
 
 /// One population slot.
@@ -259,7 +494,16 @@ impl Registry {
             None => None,
         };
         let status = managed.status();
-        let cell = PopCell { pop: managed, wal, dedup, seed, seq: 0, snapshot_seq: 0, churn: None };
+        let cell = PopCell {
+            pop: managed,
+            wal,
+            dedup,
+            seed,
+            seq: 0,
+            snapshot_seq: 0,
+            churn: None,
+            snapshots: Arc::default(),
+        };
         pops.insert(name.to_string(), Arc::new(Mutex::new(cell)));
         Ok(ApplyOutcome { applied: None, status, replayed: false, seq: 0 })
     }
@@ -289,27 +533,35 @@ impl Registry {
     /// torn mutation is just another adversarial configuration it
     /// recovers from.
     fn lock_healing<'a>(&self, name: &str, slot: &'a Slot) -> MutexGuard<'a, PopCell> {
-        match obs::time_span(Span::PopLock, || slot.lock()) {
-            Ok(cell) => cell,
-            Err(poisoned) => {
-                let mut cell = poisoned.into_inner();
-                self.quarantines.fetch_add(1, Ordering::SeqCst);
-                // Post-mortem first: the traces leading up to the poison
-                // are exactly what a quarantine investigation needs.
-                if let Some(stats) = self.obs() {
-                    let _ = stats.dump("quarantine");
-                }
-                if let Some(dir) = &self.state_dir {
-                    if let Ok(healed) = self.recover_cell(name, dir) {
-                        *cell = healed;
-                    }
-                    // An unrecoverable disk state falls back to the
-                    // in-memory cell, same as the stateless path.
-                }
-                slot.clear_poison();
-                cell
-            }
+        let poisoned = match obs::time_span(Span::PopLock, || slot.lock()) {
+            Ok(cell) => return cell,
+            Err(poisoned) => poisoned,
+        };
+        // Heal from settled files: wait out an in-flight snapshot first,
+        // off the lock its rotation needs (it skips a poisoned cell).
+        let gate = Arc::clone(&poisoned.get_ref().snapshots);
+        drop(poisoned);
+        gate.settle(false);
+        let mut cell = match slot.lock() {
+            // Another request healed it meanwhile.
+            Ok(cell) => return cell,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        self.quarantines.fetch_add(1, Ordering::SeqCst);
+        // Post-mortem first: the traces leading up to the poison are
+        // exactly what a quarantine investigation needs.
+        if let Some(stats) = self.obs() {
+            let _ = stats.dump("quarantine");
         }
+        if let Some(dir) = &self.state_dir {
+            if let Ok(healed) = self.recover_cell(name, dir) {
+                *cell = PopCell { snapshots: gate, ..healed };
+            }
+            // An unrecoverable disk state falls back to the in-memory
+            // cell, same as the stateless path.
+        }
+        slot.clear_poison();
+        cell
     }
 
     /// Journals (durable mode) and applies one mutating command, with
@@ -356,12 +608,25 @@ impl Registry {
             cell.dedup.insert(id);
         }
         let status = cell.pop.status();
-        if self.state_dir.is_some() && seq - cell.snapshot_seq >= self.durability.autosnap_every {
-            // Auto-snapshot failures must not fail the command that
-            // triggered them; the journal still covers everything.
-            let _ = self.snapshot_locked(name, &mut cell);
+        if seq - cell.snapshot_seq >= self.durability.autosnap_every {
+            self.autosnapshot(name, &slot, &mut cell);
         }
         Ok(ApplyOutcome { applied: Some(applied), status, replayed: false, seq })
+    }
+
+    /// Starts an autosnapshot unless one is in flight: freezes it under
+    /// the lock the caller holds and finishes it on a thread, so the
+    /// command that triggered it replies at once. Failures are dropped —
+    /// they must not fail that command, the journal still covers
+    /// everything, and the next write tries again.
+    fn autosnapshot(&self, name: &str, slot: &Slot, cell: &mut PopCell) {
+        let Some(dir) = &self.state_dir else { return };
+        let Some(claim) = cell.snapshots.try_claim() else { return };
+        let Ok(frozen) = cell.freeze(dir, name) else { return };
+        let slot = Arc::clone(slot);
+        claim.spawn(move || {
+            let _ = finish_snapshot(&slot, &frozen);
+        });
     }
 
     /// All population names, sorted.
@@ -374,18 +639,20 @@ impl Registry {
     /// Unregisters a population and removes its on-disk state; returns
     /// whether it existed.
     pub fn delete(&self, name: &str) -> bool {
-        let existed = self.map().remove(name).is_some();
-        if existed {
-            if let Some(dir) = &self.state_dir {
-                let _ = fs::remove_file(snapshot_path(dir, name));
-                let _ = fs::remove_file(journal_path(dir, name));
-            }
+        let Some(slot) = self.map().remove(name) else { return false };
+        // Wait out an in-flight snapshot and refuse later ones, so nothing
+        // rewrites the files removed below.
+        gate_of(&slot).settle(true);
+        if let Some(dir) = &self.state_dir {
+            let _ = fs::remove_file(snapshot_path(dir, name));
+            let _ = fs::remove_file(journal_path(dir, name));
         }
-        existed
+        true
     }
 
     /// Serializes one population to `<dir>/<name>.snapshot.jsonl` and
-    /// rotates its journal against the new snapshot.
+    /// rotates its journal against the new snapshot, after any snapshot
+    /// already in flight.
     ///
     /// # Errors
     ///
@@ -393,42 +660,23 @@ impl Registry {
     /// population does not exist, or the write fails.
     pub fn snapshot(&self, name: &str) -> Result<PathBuf, String> {
         let slot = self.get(name).ok_or_else(|| format!("no population {name:?}"))?;
-        let mut cell = self.lock_healing(name, &slot);
-        self.snapshot_locked(name, &mut cell)
+        self.snapshot_slot(name, &slot)
     }
 
-    fn snapshot_locked(&self, name: &str, cell: &mut PopCell) -> Result<PathBuf, String> {
+    fn snapshot_slot(&self, name: &str, slot: &Slot) -> Result<PathBuf, String> {
         let dir = self
             .state_dir
             .as_ref()
             .ok_or_else(|| "no state directory configured (--snapshot-dir)".to_string())?;
-        // Flush any unsynced journal tail first: the snapshot must never
-        // be *ahead* of the durable journal.
-        if let Some(wal) = cell.wal.as_mut() {
-            wal.sync()?;
-        }
-        let mut doc =
-            SnapshotDoc::from_jsonl(&cell.pop.snapshot_jsonl()).map_err(|e| e.to_string())?;
-        doc.seq = cell.seq;
-        let path = write_snapshot(dir, name, &doc.to_jsonl())?;
-        cell.snapshot_seq = cell.seq;
-        if let Some(wal) = cell.wal.as_mut() {
-            let status = cell.pop.status();
-            wal.rotate(&Header {
-                name: name.to_string(),
-                protocol: status.protocol.to_string(),
-                backend: status.backend.to_string(),
-                n: status.n0 as u64,
-                // The cell's creation seed, not `status.seed`: a restored
-                // population reports seed 0, and losing the real seed
-                // would desynchronize injected-event replay.
-                seed: cell.seed,
-                base_seq: cell.seq,
-                ids: cell.dedup.ids(),
-                churn: cell.churn.clone(),
-            })?;
-        }
-        Ok(path)
+        let gate = Arc::clone(&self.lock_healing(name, slot).snapshots);
+        let _claim = gate.claim().ok_or_else(|| format!("no population {name:?}"))?;
+        // Not `lock_healing`: a heal waits for the claim held here.
+        let frozen = slot
+            .lock()
+            .map_err(|_| format!("population {name:?} was quarantined mid-snapshot"))?
+            .freeze(dir, name)?;
+        finish_snapshot(slot, &frozen)?;
+        Ok(frozen.path)
     }
 
     /// Serializes every population; returns `(name, outcome)` pairs.
@@ -441,10 +689,18 @@ impl Registry {
         let mut results = Vec::new();
         for name in self.list() {
             let Some(slot) = self.get(&name) else { continue };
-            let mut cell = self.lock_healing(&name, &slot);
-            results.push((name.clone(), self.snapshot_locked(&name, &mut cell)));
+            let outcome = self.snapshot_slot(&name, &slot);
+            results.push((name, outcome));
         }
         results
+    }
+
+    /// Waits until no population has a snapshot in flight.
+    pub fn settle(&self) {
+        let slots: Vec<Slot> = self.map().values().cloned().collect();
+        for slot in &slots {
+            gate_of(slot).settle(false);
+        }
     }
 
     /// Restores every population with on-disk state (a snapshot, a
@@ -573,30 +829,29 @@ impl Registry {
                 }
             }
         }
-        let mut cell = PopCell { pop, wal: None, dedup, seed, seq, snapshot_seq: 0, churn };
-        // Normalize: fresh snapshot at the recovered seq, fresh journal
-        // rotated against it. Written snapshot-first, so a crash inside
-        // recovery itself just recovers again.
-        let mut doc =
-            SnapshotDoc::from_jsonl(&cell.pop.snapshot_jsonl()).map_err(|e| e.to_string())?;
-        doc.seq = seq;
-        write_snapshot(dir, name, &doc.to_jsonl())?;
-        cell.snapshot_seq = seq;
-        let status = cell.pop.status();
-        cell.wal = Some(Wal::create(
-            &journal_path(dir, name),
-            &Header {
-                name: name.to_string(),
-                protocol: status.protocol.to_string(),
-                backend: status.backend.to_string(),
-                n: status.n0 as u64,
-                seed: cell.seed,
-                base_seq: seq,
-                ids: cell.dedup.ids(),
-                churn: cell.churn.clone(),
-            },
-            self.durability.fsync,
-        )?);
+        let mut cell = PopCell {
+            pop,
+            wal: None,
+            dedup,
+            seed,
+            seq,
+            snapshot_seq: 0,
+            churn,
+            snapshots: Arc::default(),
+        };
+        // Normalize through the one snapshot path: reopen the journal when
+        // it ends at the recovered seq (else start one there — the
+        // snapshot on disk already covers it), then snapshot and rotate.
+        // Snapshot-first, so a crash inside recovery just recovers again.
+        let path = journal_path(dir, name);
+        let policy = self.durability.fsync;
+        cell.wal = Some(match &journal {
+            Some(Ok(j)) if j.last_seq() == seq => Wal::reopen(&path, j, policy)?,
+            _ => Wal::create(&path, &cell.journal_header(name), policy)?,
+        });
+        let frozen = cell.freeze(dir, name)?;
+        frozen.write()?;
+        cell.rotate(&frozen)?;
         Ok(cell)
     }
 
@@ -616,6 +871,14 @@ impl Registry {
             }
         }
         rows
+    }
+}
+
+impl Drop for Registry {
+    /// Waits out every in-flight autosnapshot, so no snapshot thread
+    /// outlives the registry.
+    fn drop(&mut self) {
+        self.settle();
     }
 }
 
@@ -668,21 +931,6 @@ fn snapshot_path(dir: &Path, name: &str) -> PathBuf {
 
 fn journal_path(dir: &Path, name: &str) -> PathBuf {
     dir.join(format!("{name}{JOURNAL_SUFFIX}"))
-}
-
-fn write_snapshot(dir: &Path, name: &str, doc: &str) -> Result<PathBuf, String> {
-    fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    let path = snapshot_path(dir, name);
-    // Write-then-rename so a crash mid-write never leaves a truncated
-    // snapshot under the restorable name.
-    let tmp = dir.join(format!("{name}{SNAPSHOT_SUFFIX}.tmp"));
-    let mut file = fs::File::create(&tmp).map_err(|e| format!("create {}: {e}", tmp.display()))?;
-    file.write_all(doc.as_bytes()).map_err(|e| format!("write {}: {e}", tmp.display()))?;
-    file.sync_all().map_err(|e| format!("sync {}: {e}", tmp.display()))?;
-    drop(file);
-    fs::rename(&tmp, &path)
-        .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))?;
-    Ok(path)
 }
 
 #[cfg(test)]
@@ -838,6 +1086,7 @@ mod tests {
         for _ in 0..5 {
             reg.apply("s", Op::Step(100), None).unwrap();
         }
+        reg.settle();
         let health = &reg.health()[0];
         assert_eq!(health.seq, 5);
         assert!(health.snapshot_seq >= 4, "auto-snapshot never fired: {health:?}");
@@ -878,6 +1127,154 @@ mod tests {
         // And the population still serves.
         let out = reg.apply("p", Op::Step(500), None).unwrap();
         assert!(matches!(out.applied, Some(Applied::Step(r)) if r.performed == 500));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Starts a snapshot of `name` the way an autosnapshot does — gate
+    /// claimed, document frozen, lock released — and hands back what
+    /// finishing it needs, so a test holds it in flight as long as it
+    /// likes.
+    fn begin_snapshot(reg: &Registry, name: &str) -> (Slot, Claim, Frozen) {
+        let slot = reg.get(name).unwrap();
+        let mut cell = slot.lock().unwrap();
+        let claim = cell.snapshots.try_claim().expect("no snapshot in flight");
+        let frozen = cell.freeze(reg.state_dir.as_ref().unwrap(), name).unwrap();
+        drop(cell);
+        (slot, claim, frozen)
+    }
+
+    /// A registry that never autosnapshots, with `p` created and stepped
+    /// through `writes` journaled commands.
+    fn manual_registry(dir: &Path, writes: u64) -> Registry {
+        let reg = Registry::with_durability(
+            Some(dir.to_path_buf()),
+            Durability { fsync: FsyncPolicy::Always, autosnap_every: u64::MAX },
+        );
+        reg.create("p", "oss", "counts", 16, 4, None).unwrap();
+        for _ in 0..writes {
+            reg.apply("p", Op::Step(300), None).unwrap();
+        }
+        reg
+    }
+
+    fn journal(dir: &Path) -> JournalDoc {
+        JournalDoc::parse(&fs::read_to_string(dir.join(format!("p{JOURNAL_SUFFIX}"))).unwrap())
+            .unwrap()
+    }
+
+    #[test]
+    fn writes_acknowledged_mid_snapshot_survive_the_rotation() {
+        let dir = temp_dir("in-flight");
+        let reg = manual_registry(&dir, 3);
+        let (slot, claim, frozen) = begin_snapshot(&reg, "p");
+        for _ in 0..4 {
+            reg.apply("p", Op::Step(300), None).unwrap();
+        }
+        finish_snapshot(&slot, &frozen).unwrap();
+        drop(claim);
+        let doc = journal(&dir);
+        assert_eq!(doc.header.base_seq, 3);
+        assert_eq!(doc.entries.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![4, 5, 6, 7]);
+        assert_eq!(reg.health()[0].snapshot_seq, 3);
+        // The rotated journal keeps taking appends.
+        reg.apply("p", Op::Step(300), None).unwrap();
+        assert_eq!(journal(&dir).last_seq(), 8);
+        let reference = reg.with_cell("p", |c| c.pop.snapshot_jsonl()).unwrap();
+        drop(reg);
+        let fresh = Registry::new(Some(dir.clone()));
+        assert!(fresh.restore_all().iter().all(|(_, r)| r.is_ok()));
+        assert_eq!(fresh.with_cell("p", |c| c.pop.snapshot_jsonl()).unwrap(), reference);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Runs `op` on another thread while a snapshot of `p` is in flight,
+    /// checks it waits for that snapshot, finishes the snapshot, and
+    /// returns what `op` returned.
+    fn race_in_flight<R: Send>(reg: &Registry, op: impl FnOnce() -> R + Send) -> R {
+        let (slot, claim, frozen) = begin_snapshot(reg, "p");
+        std::thread::scope(|scope| {
+            let (done, finished) = std::sync::mpsc::channel();
+            let racer = scope.spawn(move || {
+                let out = op();
+                done.send(()).unwrap();
+                out
+            });
+            let waited = finished.recv_timeout(std::time::Duration::from_millis(200));
+            assert!(waited.is_err(), "ran while a snapshot was in flight");
+            finish_snapshot(&slot, &frozen).unwrap();
+            drop(claim);
+            racer.join().unwrap()
+        })
+    }
+
+    #[test]
+    fn explicit_snapshot_waits_for_the_one_in_flight() {
+        let dir = temp_dir("race-snapshot");
+        let reg = manual_registry(&dir, 2);
+        reg.apply("p", Op::Step(300), None).unwrap();
+        let path = race_in_flight(&reg, || {
+            reg.apply("p", Op::Corrupt(2), None).unwrap();
+            reg.snapshot("p")
+        });
+        assert!(path.unwrap().exists());
+        // The explicit snapshot ran second and covers every write.
+        let health = &reg.health()[0];
+        assert_eq!((health.seq, health.snapshot_seq), (4, 4));
+        let doc = journal(&dir);
+        assert_eq!((doc.header.base_seq, doc.entries.len()), (4, 0));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn delete_waits_for_the_snapshot_in_flight_and_refuses_later_ones() {
+        let dir = temp_dir("race-delete");
+        let reg = manual_registry(&dir, 2);
+        let stale = reg.get("p").unwrap();
+        assert!(race_in_flight(&reg, || reg.delete("p")));
+        assert!(!dir.join(format!("p{SNAPSHOT_SUFFIX}")).exists());
+        assert!(!dir.join(format!("p{JOURNAL_SUFFIX}")).exists());
+        // A request still holding the slot can start no snapshot.
+        assert!(lock_slot(&stale).snapshots.try_claim().is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn heal_waits_for_the_snapshot_in_flight() {
+        let dir = temp_dir("race-heal");
+        let reg = manual_registry(&dir, 3);
+        let reference = reg.with_cell("p", |c| c.pop.snapshot_jsonl()).unwrap();
+        let healed = race_in_flight(&reg, || {
+            let slot = reg.get("p").unwrap();
+            let _ = std::thread::spawn(move || {
+                let mut cell = slot.lock().unwrap();
+                cell.pop.step(12_345);
+                panic!("wedged handler");
+            })
+            .join();
+            reg.with_cell("p", |c| c.pop.snapshot_jsonl()).unwrap()
+        });
+        assert_eq!(reg.quarantines(), 1);
+        assert_eq!(healed, reference, "heal did not restore the journaled state");
+        let health = &reg.health()[0];
+        assert_eq!((health.seq, health.snapshot_seq), (3, 3));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dropping_the_registry_waits_for_the_autosnapshot_thread() {
+        let dir = temp_dir("drop");
+        let reg = Registry::with_durability(
+            Some(dir.clone()),
+            Durability { fsync: FsyncPolicy::Always, autosnap_every: 1 },
+        );
+        reg.create("p", "ciw", "agents", 20_000, 4, None).unwrap();
+        reg.apply("p", Op::Step(100), None).unwrap();
+        drop(reg);
+        // The thread finished before the drop returned: snapshot written
+        // and journal rotated against it.
+        let text = fs::read_to_string(dir.join(format!("p{SNAPSHOT_SUFFIX}"))).unwrap();
+        assert_eq!(SnapshotDoc::from_jsonl(&text).unwrap().seq, 1);
+        assert_eq!(journal(&dir).header.base_seq, 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -952,6 +952,36 @@ mod tests {
     }
 
     #[test]
+    fn seeds_above_2_pow_53_survive_status_and_journal_replay() {
+        let dir = std::env::temp_dir().join(format!("ssle-serve-seed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let stop = AtomicBool::new(false);
+        let registry = Registry::new(Some(dir.clone()));
+        let create = format!(
+            r#"{{"cmd":"create","name":"s","protocol":"ciw","backend":"counts","n":8,"seed":{}}}"#,
+            u64::MAX
+        );
+        assert!(handle_line(&registry, &stop, &create).contains("\"ok\":true"));
+        handle_line(&registry, &stop, r#"{"cmd":"corrupt","name":"s","k":2}"#);
+        let want = format!("\"seed\":{}", u64::MAX);
+        let status = handle_line(&registry, &stop, r#"{"cmd":"status","name":"s"}"#);
+        assert!(status.contains(&want), "{status}");
+        let before = registry.with_cell("s", |cell| cell.pop.snapshot_jsonl()).unwrap();
+        drop(registry);
+
+        // No snapshot was written: recovery replays the journal, whose
+        // header carries the seed the corrupt's victims derive from.
+        let _ = std::fs::remove_file(dir.join("s.snapshot.jsonl"));
+        let recovered = Registry::new(Some(dir.clone()));
+        assert!(recovered.restore_all().iter().all(|(_, r)| r.is_ok()));
+        let status = handle_line(&recovered, &stop, r#"{"cmd":"status","name":"s"}"#);
+        assert!(status.contains(&want), "{status}");
+        let after = recovered.with_cell("s", |cell| cell.pop.snapshot_jsonl()).unwrap();
+        assert_eq!(after, before, "replay drew different corrupt victims");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn stats_serves_counters_from_the_attached_tracer() {
         let (registry, stop) = fresh();
         assert!(

@@ -36,14 +36,16 @@
 
 use std::collections::BTreeMap;
 
-use population::record::{parse_flat_json, JsonObject, JsonScalar};
+use population::record::{
+    parse_flat_json, parse_flat_json_exact, ExactScalar, JsonObject, JsonScalar,
+};
 
 /// A parsed request: the command name plus its argument map.
 #[derive(Debug, Clone)]
 pub struct Request {
     /// The `cmd` value.
     pub cmd: String,
-    args: BTreeMap<String, JsonScalar>,
+    args: BTreeMap<String, ExactScalar>,
 }
 
 /// The keys every command accepts (beyond `cmd`), for typo rejection.
@@ -70,9 +72,9 @@ impl Request {
     /// Returns a human-readable message for malformed JSON, a missing or
     /// unknown `cmd`, or arguments the command does not accept.
     pub fn parse(line: &str) -> Result<Request, String> {
-        let mut map = parse_flat_json(line).map_err(|e| format!("bad request JSON: {e}"))?;
+        let mut map = parse_flat_json_exact(line).map_err(|e| format!("bad request JSON: {e}"))?;
         let cmd = match map.remove("cmd") {
-            Some(JsonScalar::Str(c)) => c,
+            Some(ExactScalar::Str(c)) => c,
             Some(_) => return Err("\"cmd\" must be a string".to_string()),
             None => return Err("missing \"cmd\"".to_string()),
         };
@@ -92,7 +94,7 @@ impl Request {
     /// Returns a message when absent or not a string.
     pub fn str_arg(&self, key: &str) -> Result<&str, String> {
         match self.args.get(key) {
-            Some(JsonScalar::Str(s)) => Ok(s),
+            Some(ExactScalar::Str(s)) => Ok(s),
             Some(_) => Err(format!("{key:?} must be a string")),
             None => Err(format!("cmd {:?} requires {key:?}", self.cmd)),
         }
@@ -106,24 +108,24 @@ impl Request {
     pub fn opt_str_arg(&self, key: &str) -> Result<Option<&str>, String> {
         match self.args.get(key) {
             None => Ok(None),
-            Some(JsonScalar::Str(s)) => Ok(Some(s)),
+            Some(ExactScalar::Str(s)) => Ok(Some(s)),
             Some(_) => Err(format!("{key:?} must be a string")),
         }
     }
 
-    /// An optional non-negative integer argument (JSON numbers only).
+    /// An optional non-negative integer argument (JSON numbers only), read
+    /// exactly across the whole `u64` range.
     ///
     /// # Errors
     ///
-    /// Returns a message when present but not a non-negative integer
-    /// representable in a `f64` without loss.
+    /// Returns a message when present but not a non-negative integer.
     pub fn u64_arg(&self, key: &str) -> Result<Option<u64>, String> {
         match self.args.get(key) {
             None => Ok(None),
-            Some(JsonScalar::Num(x)) if *x >= 0.0 && x.fract() == 0.0 && *x <= 2f64.powi(53) => {
-                Ok(Some(*x as u64))
-            }
-            Some(_) => Err(format!("{key:?} must be a non-negative integer")),
+            Some(value) => value
+                .as_u64()
+                .map(Some)
+                .ok_or_else(|| format!("{key:?} must be a non-negative integer")),
         }
     }
 
@@ -144,7 +146,7 @@ impl Request {
     pub fn bool_arg(&self, key: &str) -> Result<Option<bool>, String> {
         match self.args.get(key) {
             None => Ok(None),
-            Some(JsonScalar::Bool(b)) => Ok(Some(*b)),
+            Some(ExactScalar::Bool(b)) => Ok(Some(*b)),
             Some(_) => Err(format!("{key:?} must be a boolean")),
         }
     }
@@ -278,6 +280,18 @@ mod tests {
         assert!(r.u64_arg("interactions").is_err());
         let r = Request::parse(r#"{"cmd":"step","name":"a","interactions":1.5}"#).unwrap();
         assert!(r.u64_arg("interactions").is_err());
+        let r = Request::parse(r#"{"cmd":"step","name":"a","interactions":18446744073709551616}"#)
+            .unwrap();
+        assert!(r.u64_arg("interactions").is_err(), "2^64 does not fit a u64");
+    }
+
+    #[test]
+    fn integers_are_exact_across_the_u64_range() {
+        for x in [(1u64 << 53) + 1, u64::MAX] {
+            let r =
+                Request::parse(&format!(r#"{{"cmd":"create","name":"a","seed":{x}}}"#)).unwrap();
+            assert_eq!(r.u64_arg("seed").unwrap(), Some(x));
+        }
     }
 
     #[test]

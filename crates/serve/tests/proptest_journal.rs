@@ -5,7 +5,9 @@
 //! bit-identically to a never-crashed run over the commands that
 //! survived, on both backends. Plus replay idempotence: recovering the
 //! same on-disk state twice is indistinguishable from recovering it
-//! once.
+//! once. And the windows inside a snapshot: a crash after the snapshot
+//! is renamed into place but before the journal is rotated against it,
+//! with or without the rotation's temp file written, loses nothing.
 
 use std::fs;
 use std::path::PathBuf;
@@ -13,8 +15,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 
-use ssle_serve::journal::{FsyncPolicy, JournalDoc, Op, JOURNAL_SUFFIX};
-use ssle_serve::registry::{Durability, Registry};
+use ssle_serve::journal::{FsyncPolicy, Header, JournalDoc, Op, JOURNAL_SUFFIX};
+use ssle_serve::registry::{Durability, Registry, SNAPSHOT_SUFFIX};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -203,6 +205,81 @@ proptest! {
         // fsynced, so nothing may be lost regardless of autosnap timing.
         let reference = reference_state(protocol, backend, n, seed, &ops);
         prop_assert_eq!(state_twice, reference, "recovered state diverged from reference");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A crash inside a snapshot of seq `S`: the snapshot is renamed into
+    /// place, but the journal still holds every entry from seq 1 — and,
+    /// when `tmp` is set, the rotation's temp file holds a prefix of the
+    /// journal it was about to become. Recovery must reproduce the
+    /// never-crashed state over every command, ignore the temp file, and
+    /// leave a population that keeps journaling and recovers again.
+    #[test]
+    fn crash_inside_a_snapshot_recovers_bit_identical(
+        protocol in protocol(),
+        backend in backend(),
+        n in 8u64..48,
+        seed in 1u64..1_000,
+        ops in prop::collection::vec(gen_op(), 1..10),
+        at in 0.0f64..=1.0,
+        tmp in any::<bool>(),
+        cut in 0.0f64..=1.0,
+    ) {
+        // As in `recovery_is_idempotent`: bit-identity through a mid-run
+        // snapshot is claimed churn-plan-free.
+        let mut ops = ops;
+        ops.retain(|op| !matches!(op, GenOp::Churn));
+        if ops.is_empty() {
+            ops.push(GenOp::Step(50));
+        }
+        let s = (at * ops.len() as f64).round() as usize;
+        let dir = temp_dir("in-snapshot");
+        let reg = Registry::with_durability(
+            Some(dir.clone()),
+            Durability { fsync: FsyncPolicy::Always, autosnap_every: u64::MAX },
+        );
+        reg.create("p", protocol, backend, n, seed, None).unwrap();
+        for op in &ops {
+            reg.apply("p", op.to_op(), None).unwrap();
+        }
+        drop(reg);
+
+        // The snapshot of seq `s`, from a registry that stopped there.
+        let stopped = Registry::new(None);
+        stopped.create("p", protocol, backend, n, seed, None).unwrap();
+        for op in &ops[..s] {
+            stopped.apply("p", op.to_op(), None).unwrap();
+        }
+        let mut doc = stopped.with_cell("p", |cell| cell.pop.snapshot_doc()).unwrap();
+        doc.seq = s as u64;
+        fs::write(dir.join(format!("p{SNAPSHOT_SUFFIX}")), doc.to_jsonl()).unwrap();
+        let journal_path = dir.join(format!("p{JOURNAL_SUFFIX}"));
+        if tmp {
+            let text = fs::read_to_string(&journal_path).unwrap();
+            let header = Header { base_seq: s as u64, ..JournalDoc::parse(&text).unwrap().header };
+            let mut rotated = format!("{}\n", header.to_json());
+            for line in text.lines().skip(1 + s) {
+                rotated.push_str(line);
+                rotated.push('\n');
+            }
+            let keep = (cut * rotated.len() as f64).round() as usize;
+            fs::write(journal_path.with_extension("tmp"), &rotated.as_bytes()[..keep]).unwrap();
+        }
+
+        let recovered = Registry::new(Some(dir.clone()));
+        let outcomes = recovered.restore_all();
+        prop_assert!(outcomes.iter().all(|(_, r)| r.is_ok()), "recovery failed: {:?}", outcomes);
+        let got = recovered.with_cell("p", |cell| cell.pop.snapshot_jsonl()).unwrap();
+        prop_assert_eq!(got, reference_state(protocol, backend, n, seed, &ops));
+        prop_assert_eq!(recovered.with_cell("p", |cell| cell.seq).unwrap(), ops.len() as u64);
+
+        recovered.apply("p", Op::Step(77), None).unwrap();
+        recovered.snapshot("p").unwrap();
+        let expected = recovered.with_cell("p", |cell| cell.pop.snapshot_jsonl()).unwrap();
+        drop(recovered);
+        let again = Registry::new(Some(dir.clone()));
+        prop_assert!(again.restore_all().iter().all(|(_, r)| r.is_ok()));
+        prop_assert_eq!(again.with_cell("p", |cell| cell.pop.snapshot_jsonl()).unwrap(), expected);
         let _ = fs::remove_dir_all(&dir);
     }
 

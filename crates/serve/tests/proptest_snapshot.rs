@@ -8,7 +8,11 @@
 //!   same states, same interaction count, same RNG position.
 //! * **Robustness** — truncated and corrupted snapshot files produce clean
 //!   errors, never panics, and never a silently wrong population.
+//! * **Encoding** — the streaming encoder writes exactly the bytes the
+//!   string-building encoder it replaced wrote, so snapshots on disk keep
+//!   their format.
 
+use population::record::JsonObject;
 use population::runner::rng_from_seed;
 use population::snapshot::{
     restore_agents, restore_counts, snapshot_agents, snapshot_counts, SnapshotDoc, SnapshotError,
@@ -20,6 +24,7 @@ use rand::Rng;
 use ssle::adversary;
 use ssle::loose::{LooseState, LooselyStabilizingLe};
 use ssle::{CaiIzumiWada, OptimalSilentSsr};
+use ssle_serve::pop;
 
 fn roundtrip_agents<P>(
     protocol: impl Fn() -> P,
@@ -71,6 +76,62 @@ fn loose_initial(t_max: u32, n: usize, seed: u64) -> Vec<LooseState> {
     (0..n)
         .map(|_| LooseState { leader: rng.gen_range(0..2) == 1, timer: rng.gen_range(0..=t_max) })
         .collect()
+}
+
+/// The encoder `SnapshotDoc::to_jsonl` had before it streamed: builds
+/// the whole text in one `String`. The reference the streaming encoder is
+/// held to.
+fn string_built_jsonl(doc: &SnapshotDoc) -> String {
+    let mut rng_hex = String::with_capacity(64);
+    for word in doc.rng {
+        rng_hex.push_str(&format!("{word:016x}"));
+    }
+    let mut out = String::new();
+    let mut header = JsonObject::new();
+    header
+        .field_u64("v", 1)
+        .field_str("kind", "snapshot")
+        .field_str("protocol", &doc.protocol)
+        .field_str("backend", &doc.backend)
+        .field_u64("param", doc.param)
+        .field_u64("live", doc.live)
+        .field_u64("interactions", doc.interactions)
+        .field_str("rng", &rng_hex);
+    if doc.seq != 0 {
+        header.field_u64("seq", doc.seq);
+    }
+    out.push_str(&header.finish());
+    out.push('\n');
+    for (state, count) in &doc.runs {
+        let mut line = JsonObject::new();
+        line.field_str("kind", "snapshot-run").field_str("s", state).field_u64("c", *count);
+        out.push_str(&line.finish());
+        out.push('\n');
+    }
+    let mut footer = JsonObject::new();
+    footer.field_str("kind", "snapshot-end").field_u64("runs", doc.runs.len() as u64);
+    out.push_str(&footer.finish());
+    out.push('\n');
+    out
+}
+
+#[test]
+fn streamed_snapshots_match_the_string_built_bytes() {
+    for protocol in ["ciw", "oss"] {
+        for backend in ["agents", "counts"] {
+            let mut population = pop::create(protocol, backend, 40, 17).unwrap();
+            population.step(20_000);
+            for seq in [0, 1, 257, (1 << 53) + 1] {
+                let mut doc = population.snapshot_doc();
+                doc.seq = seq;
+                let mut streamed = Vec::new();
+                doc.write_jsonl(&mut streamed).unwrap();
+                let want = string_built_jsonl(&doc);
+                assert_eq!(streamed, want.as_bytes(), "{protocol}/{backend} at seq {seq}");
+                assert_eq!(doc.to_jsonl(), want, "{protocol}/{backend} at seq {seq}");
+            }
+        }
+    }
 }
 
 proptest! {
