@@ -16,7 +16,7 @@
 //! a nested value's fields inline and `= text` for a field only the text
 //! output shows. One constructor per kind builds the row from its group key
 //! and records, and computes every statistic the row carries. From the
-//! declaration, [`json_lines`] writes any row as one JSON line
+//! declaration, the private `json_lines` writes any row as one JSON line
 //! (`"command":"report"`, the row's `kind` if it has one, then its fields);
 //! one text function per kind formats the built rows. A new row kind is a
 //! table entry, its constructor and its text function. Constructors sum

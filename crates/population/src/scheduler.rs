@@ -33,9 +33,10 @@ use crate::graph::{EdgeList, InteractionGraph};
 /// using Lemire's widening-multiply rejection method — no modulo on the
 /// accept path and no bias for any `span`.
 ///
-/// This is the hot-path primitive behind both [`Scheduler::sample_pair`] on
-/// the complete graph and the count-based backend's weighted state draws
-/// ([`crate::counts`]). The previous implementation reduced the raw 64-bit
+/// This is the hot-path primitive behind the count-based backend's weighted
+/// state draws ([`crate::counts`]); [`Scheduler::sample_pair`] on the
+/// complete graph shares its accept/reject step through
+/// [`uniform_pair_from`]. The previous implementation reduced the raw 64-bit
 /// draw with a modulo, which is slower (a hardware divide per call) and
 /// (negligibly but measurably) biased toward small residues whenever `span`
 /// does not divide 2⁶⁴; the rejection zone below removes that bias exactly —
@@ -46,17 +47,67 @@ use crate::graph::{EdgeList, InteractionGraph};
 /// Panics in debug builds if `span == 0`.
 #[inline]
 pub(crate) fn uniform_u64(rng: &mut SmallRng, span: u64) -> u64 {
+    lemire(rng, span).1
+}
+
+/// One accepted draw of Lemire's method for `span`: the raw 64-bit word `x`
+/// and the sample ⌊x·span/2⁶⁴⌋.
+///
+/// `x` is accepted when the low 64 bits of x·span land outside the "short"
+/// zone of size 2⁶⁴ mod span; each sample then occurs exactly ⌊2⁶⁴/span⌋
+/// times. The zone is smaller than `span`, so a low word at or above `span`
+/// is accepted without computing it, and the division that computes it runs
+/// only on the rare low word below `span` (Lemire, "Fast random integer
+/// generation in an interval", ACM TOMACS 2019). Every accept/reject
+/// decision is the same as testing against the zone on each draw, so the
+/// RNG stream is too.
+#[inline(always)]
+fn lemire(rng: &mut SmallRng, span: u64) -> (u64, u64) {
     debug_assert!(span > 0, "cannot sample from an empty range");
-    // Accept x when the low 64 bits of x·span land outside the "short"
-    // zone of size 2^64 mod span; each residue then occurs exactly
-    // ⌊2^64/span⌋ times.
-    let zone = span.wrapping_neg() % span;
-    loop {
-        let wide = u128::from(rng.next_u64()) * u128::from(span);
-        if (wide as u64) >= zone {
-            return (wide >> 64) as u64;
+    let mut x = rng.next_u64();
+    let mut wide = u128::from(x) * u128::from(span);
+    if (wide as u64) < span {
+        let zone = span.wrapping_neg() % span;
+        while (wide as u64) < zone {
+            x = rng.next_u64();
+            wide = u128::from(x) * u128::from(span);
         }
     }
+    (x, (wide >> 64) as u64)
+}
+
+/// One uniform ordered pair of distinct agents in `lo..n` from a single
+/// Lemire draw over the m(m−1) ordered pairs, m = n − lo: half the RNG work
+/// of two independent draws, and no division on the accept path.
+///
+/// The joint index is idx = ⌊x·m(m−1)/2⁶⁴⌋ for the accepted raw word `x`,
+/// and the initiator idx / (m−1) equals ⌊x·m/2⁶⁴⌋ exactly (nested floors of
+/// quotients collapse), so it is one more widening multiply; the responder
+/// is the remainder idx − i·(m−1), shifted past `i`.
+#[inline(always)]
+fn uniform_pair_from(rng: &mut SmallRng, lo: usize, n: usize) -> (usize, usize) {
+    let m = (n - lo) as u64;
+    debug_assert!(m >= 2);
+    let (x, idx) = lemire(rng, m * (m - 1));
+    let i = ((u128::from(x) * u128::from(m)) >> 64) as u64;
+    let mut j = idx - i * (m - 1);
+    if j >= i {
+        j += 1;
+    }
+    (lo + i as usize, lo + j as usize)
+}
+
+/// Largest population a pair sampler accepts: the joint draw over the
+/// n(n−1) ordered pairs must fit in 64 bits.
+const MAX_SCHEDULED_AGENTS: usize = u32::MAX as usize;
+
+/// Checked once by every constructor whose sampler draws joint pair
+/// indices, so no draw can wrap n(n−1).
+fn assert_pairs_fit(n: usize) {
+    assert!(
+        n <= MAX_SCHEDULED_AGENTS,
+        "scheduling supports at most {MAX_SCHEDULED_AGENTS} agents, got {n}"
+    );
 }
 
 /// A sampler of ordered interaction pairs over a fixed graph.
@@ -74,10 +125,12 @@ impl Scheduler {
     ///
     /// # Panics
     ///
-    /// Panics if `n < 2` (no ordered pair exists) or if an arbitrary graph
-    /// was validated for a different population size.
+    /// Panics if `n < 2` (no ordered pair exists), if `n` exceeds 2³² − 1,
+    /// or if an arbitrary graph was validated for a different population
+    /// size.
     pub fn new(n: usize, graph: InteractionGraph) -> Self {
         assert!(n >= 2, "scheduling requires at least two agents, got {n}");
+        assert_pairs_fit(n);
         if let InteractionGraph::Arbitrary(list) = &graph {
             assert_eq!(
                 list.population_size(),
@@ -99,23 +152,10 @@ impl Scheduler {
     }
 
     /// Samples one uniformly random ordered pair `(initiator, responder)`.
-    #[inline]
+    #[inline(always)]
     pub fn sample_pair(&self, rng: &mut SmallRng) -> (usize, usize) {
         match &self.graph {
-            InteractionGraph::Complete => {
-                // One draw over the n(n−1) ordered pairs instead of two
-                // `gen_range` calls: halves the RNG work and replaces the
-                // 128-bit modulo reduction with a widening multiply.
-                let n = self.n as u64;
-                debug_assert!(n <= u64::from(u32::MAX), "n(n−1) must fit in 64 bits");
-                let idx = uniform_u64(rng, n * (n - 1));
-                let i = (idx / (n - 1)) as usize;
-                let mut j = (idx % (n - 1)) as usize;
-                if j >= i {
-                    j += 1;
-                }
-                (i, j)
-            }
+            InteractionGraph::Complete => uniform_pair_from(rng, 0, self.n),
             InteractionGraph::Ring => {
                 let i = rng.gen_range(0..self.n);
                 let j = if self.n == 2 {
@@ -186,7 +226,7 @@ impl SchedulerPolicy for Scheduler {
         self.n
     }
 
-    #[inline]
+    #[inline(always)]
     fn sample_at(&self, rng: &mut SmallRng, _interactions: u64) -> (usize, usize) {
         self.sample_pair(rng)
     }
@@ -360,12 +400,13 @@ impl EpochStarvation {
     /// # Panics
     ///
     /// Panics if fewer than two agents remain during starvation
-    /// (`n - starved < 2`) or `window == 0`.
+    /// (`n - starved < 2`), `n` exceeds 2³² − 1, or `window == 0`.
     pub fn new(n: usize, starved: usize, window: u64) -> Self {
         assert!(
             n >= 2 && n - starved.min(n) >= 2,
             "starving {starved} of {n} agents leaves no pair to schedule"
         );
+        assert_pairs_fit(n);
         assert!(window > 0, "starvation window must be positive");
         EpochStarvation { n, starved, window }
     }
@@ -385,21 +426,6 @@ impl EpochStarvation {
     pub fn starving_at(&self, interactions: u64) -> bool {
         (interactions / self.window).is_multiple_of(2)
     }
-}
-
-/// One uniform ordered pair over agents `lo..n` via a single Lemire draw
-/// (the same joint-index trick as [`Scheduler::sample_pair`]).
-#[inline]
-fn uniform_pair_from(rng: &mut SmallRng, lo: usize, n: usize) -> (usize, usize) {
-    let m = (n - lo) as u64;
-    debug_assert!(m >= 2);
-    let idx = uniform_u64(rng, m * (m - 1));
-    let i = (idx / (m - 1)) as usize;
-    let mut j = (idx % (m - 1)) as usize;
-    if j >= i {
-        j += 1;
-    }
-    (lo + i, lo + j)
 }
 
 impl SchedulerPolicy for EpochStarvation {
@@ -446,8 +472,10 @@ impl Clustered {
     /// # Panics
     ///
     /// Panics if any block would hold fewer than two agents
-    /// (`n / blocks < 2`), or `eps` is outside `(0, 1]`.
+    /// (`n / blocks < 2`), `n` exceeds 2³² − 1, or `eps` is outside
+    /// `(0, 1]`.
     pub fn new(n: usize, blocks: usize, eps: f64) -> Self {
+        assert_pairs_fit(n);
         assert!(
             blocks >= 1 && n / blocks >= 2,
             "{n} agents in {blocks} blocks leaves a block without a pair"
@@ -548,6 +576,11 @@ impl AnyScheduler {
     pub fn from_spec(spec: &str, n: usize) -> Result<Self, String> {
         if n < 2 {
             return Err(format!("scheduling requires at least two agents, got {n}"));
+        }
+        if n > MAX_SCHEDULED_AGENTS {
+            return Err(format!(
+                "scheduling supports at most {MAX_SCHEDULED_AGENTS} agents, got {n}"
+            ));
         }
         let mut parts = spec.split(':');
         let name = parts.next().unwrap_or_default();
@@ -742,7 +775,7 @@ impl Reliability {
     /// Draws whether the next interaction's transition is dropped. Consumes
     /// RNG only when `omission > 0`, so perfect reliability leaves the
     /// execution's random stream untouched.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn drops(&self, rng: &mut SmallRng) -> bool {
         self.omission > 0.0 && rng.gen::<f64>() < self.omission
     }
@@ -824,6 +857,105 @@ mod tests {
         for _ in 0..100 {
             assert!(uniform_u64(&mut rng, 8) < 8);
         }
+    }
+
+    /// The samplers as they were before the threshold became lazy and the
+    /// pair split division-free, kept to pin both bit for bit.
+    mod division_based {
+        use rand::rngs::SmallRng;
+        use rand::RngCore;
+
+        pub fn uniform_u64(rng: &mut SmallRng, span: u64) -> u64 {
+            let zone = span.wrapping_neg() % span;
+            loop {
+                let wide = u128::from(rng.next_u64()) * u128::from(span);
+                if (wide as u64) >= zone {
+                    return (wide >> 64) as u64;
+                }
+            }
+        }
+
+        pub fn uniform_pair_from(rng: &mut SmallRng, lo: usize, n: usize) -> (usize, usize) {
+            let m = (n - lo) as u64;
+            let idx = uniform_u64(rng, m * (m - 1));
+            let i = (idx / (m - 1)) as usize;
+            let mut j = (idx % (m - 1)) as usize;
+            if j >= i {
+                j += 1;
+            }
+            (lo + i, lo + j)
+        }
+    }
+
+    #[test]
+    fn pair_draws_match_the_division_based_sampler() {
+        // 3_037_000_501 is the smallest m with m(m−1) > 2^63: about half of
+        // its joint draws fall in the rejection zone.
+        let sizes = [2, 3, 7, 1024, 100_000, 3_037_000_501, u32::MAX as usize];
+        for n in sizes {
+            let s = Scheduler::new(n, InteractionGraph::Complete);
+            for seed in 0..64 {
+                let mut new = rng_from_seed(seed);
+                let mut old = rng_from_seed(seed);
+                for _ in 0..500 {
+                    assert_eq!(
+                        s.sample_pair(&mut new),
+                        division_based::uniform_pair_from(&mut old, 0, n),
+                        "n = {n}, seed {seed}"
+                    );
+                }
+                assert_eq!(new.state(), old.state(), "n = {n}, seed {seed}");
+                let lo = n / 3;
+                if n - lo >= 2 {
+                    for _ in 0..500 {
+                        assert_eq!(
+                            uniform_pair_from(&mut new, lo, n),
+                            division_based::uniform_pair_from(&mut old, lo, n),
+                            "lo = {lo}, n = {n}, seed {seed}"
+                        );
+                    }
+                    assert_eq!(new.state(), old.state(), "lo = {lo}, n = {n}, seed {seed}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn uniform_u64_matches_the_eager_threshold() {
+        // 2^63 + 1 rejects about half of all draws; 101 and 8 exercise a
+        // small and an empty zone, 1 the degenerate span.
+        for span in [1, 8, 101, (1u64 << 63) + 1] {
+            for seed in 0..64 {
+                let mut new = rng_from_seed(seed);
+                let mut old = rng_from_seed(seed);
+                for _ in 0..2_000 {
+                    assert_eq!(
+                        uniform_u64(&mut new, span),
+                        division_based::uniform_u64(&mut old, span),
+                        "span {span}, seed {seed}"
+                    );
+                }
+                assert_eq!(new.state(), old.state(), "span {span}, seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 4294967295 agents")]
+    fn scheduler_rejects_populations_whose_pairs_overflow() {
+        Scheduler::new(u32::MAX as usize + 1, InteractionGraph::Complete);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 4294967295 agents")]
+    fn starvation_rejects_populations_whose_pairs_overflow() {
+        EpochStarvation::new(u32::MAX as usize + 1, 1, 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 4294967295 agents")]
+    fn clustered_rejects_populations_whose_pairs_overflow() {
+        Clustered::new(u32::MAX as usize + 1, 1, 0.5);
     }
 
     #[test]
@@ -1049,6 +1181,7 @@ mod tests {
         assert!(AnyScheduler::from_spec("clustered:0", n).is_err());
         assert!(AnyScheduler::from_spec("clustered:2:0", n).is_err());
         assert!(AnyScheduler::from_spec("uniform", 1).is_err());
+        assert!(AnyScheduler::from_spec("uniform", u32::MAX as usize + 1).is_err());
         assert!(AnyScheduler::uniform(n).is_uniform_complete());
         assert!(!AnyScheduler::from_spec("zipf", n).unwrap().is_uniform_complete());
     }

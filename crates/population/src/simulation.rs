@@ -395,6 +395,7 @@ impl<P: Protocol, O: Observer<P>, F: FaultSchedule<P>, S: SchedulerPolicy, M: Me
     /// gated observer hooks, **without** polling the fault schedule — run
     /// loops that keep their own incremental bookkeeping (rank tracking,
     /// chaos recovery) poll separately so they can react to the corruption.
+    #[inline(always)]
     pub(crate) fn interact_observed(&mut self, i: usize, j: usize) {
         if self.reliability.drops(&mut self.rng) {
             // The pair met but the transition was silently dropped. The
@@ -676,6 +677,7 @@ pub(crate) fn interact_reliably<P: Protocol>(
 /// # Panics
 ///
 /// Panics if `i == j` or either index is out of bounds.
+#[inline(always)]
 pub(crate) fn pair_mut<T>(xs: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
     assert!(i != j, "pair_mut requires distinct indices");
     if i < j {

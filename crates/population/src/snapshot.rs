@@ -52,6 +52,12 @@ use crate::simulation::Simulation;
 /// The snapshot format version this build writes.
 pub const SNAPSHOT_VERSION: u64 = 1;
 
+/// Largest population [`restore_agents`] rebuilds, and the largest the
+/// service daemon creates. A snapshot's `live` comes from the file, so the
+/// agent array it sizes is refused above this cap before anything is
+/// allocated.
+pub const MAX_N: u64 = 100_000_000;
+
 /// A protocol whose states can round-trip through a snapshot.
 ///
 /// `decode_state` must invert `encode_state` exactly — the restored
@@ -394,6 +400,20 @@ pub fn restore_agents<P: SnapshotProtocol>(
     doc: &SnapshotDoc,
 ) -> Result<Simulation<P>, SnapshotError> {
     check_doc(&protocol, doc, "agents")?;
+    if doc.live > MAX_N {
+        return Err(SnapshotError::Mismatch(format!(
+            "{} live agents exceed the cap of {MAX_N}",
+            doc.live
+        )));
+    }
+    // `from_jsonl` checks that the runs sum to `live`; a document built in
+    // code is checked here, so the pushes below stay within the reservation.
+    if doc.runs.iter().try_fold(0u64, |sum, (_, c)| sum.checked_add(*c)) != Some(doc.live) {
+        return Err(SnapshotError::Mismatch(format!(
+            "runs do not sum to the {} live agents",
+            doc.live
+        )));
+    }
     let mut states = Vec::with_capacity(doc.live as usize);
     for (encoded, count) in &doc.runs {
         if *count == 0 {
@@ -404,9 +424,7 @@ pub fn restore_agents<P: SnapshotProtocol>(
         let state = protocol.decode_state(encoded).map_err(|reason| {
             SnapshotError::Mismatch(format!("bad state {encoded:?}: {reason}"))
         })?;
-        for _ in 0..*count {
-            states.push(state.clone());
-        }
+        states.extend(std::iter::repeat_n(state, *count as usize));
     }
     if states.len() < 2 {
         return Err(SnapshotError::Mismatch("fewer than two agents".to_string()));
@@ -613,6 +631,38 @@ mod tests {
             restore_agents(TokenRank { n: n + 1 }, &doc),
             Err(SnapshotError::Mismatch(_))
         ));
+    }
+
+    #[test]
+    fn hostile_live_counts_are_refused_before_allocating() {
+        // One run of 2^40 agents: the file is consistent (the run sums to
+        // `live`), so only the cap stands between it and a multi-terabyte
+        // reservation.
+        let text = concat!(
+            r#"{"v":1,"kind":"snapshot","protocol":"token","backend":"agents","param":8,"#,
+            r#""live":1099511627776,"interactions":0,"rng":"00000000000000010000000000000002"#,
+            r#"00000000000000030000000000000004"}"#,
+            "\n",
+            r#"{"kind":"snapshot-run","s":"0","c":1099511627776}"#,
+            "\n",
+            r#"{"kind":"snapshot-end","runs":1}"#,
+        );
+        let doc = SnapshotDoc::from_jsonl(text).expect("well-formed file");
+        let err = restore_agents(TokenRank { n: 8 }, &doc).expect_err("refused");
+        assert!(err.to_string().contains("exceed the cap"), "{err}");
+        // Just past the cap is refused too; a document whose runs overshoot
+        // a small `live` is refused instead of outgrowing its reservation.
+        let mut doc = doc;
+        doc.live = MAX_N + 1;
+        doc.runs = vec![("0".to_string(), MAX_N + 1)];
+        assert!(matches!(
+            restore_agents(TokenRank { n: 8 }, &doc),
+            Err(SnapshotError::Mismatch(_))
+        ));
+        doc.live = 2;
+        doc.runs = vec![("0".to_string(), MAX_N)];
+        let err = restore_agents(TokenRank { n: 8 }, &doc).expect_err("refused");
+        assert!(err.to_string().contains("do not sum"), "{err}");
     }
 
     #[test]

@@ -116,6 +116,7 @@ impl RankTracker {
     /// # Panics
     ///
     /// Panics if a rank is outside `1..=n`.
+    #[inline(always)]
     pub fn update(&mut self, before: Option<usize>, after: Option<usize>) {
         if before == after {
             return;
@@ -128,6 +129,7 @@ impl RankTracker {
         }
     }
 
+    #[inline]
     fn bump(&mut self, rank: usize, delta: i32) {
         let to = self.counts[self.slot(rank)]
             .checked_add_signed(delta)
@@ -136,6 +138,7 @@ impl RankTracker {
     }
 
     /// Index of rank `r` in `counts`.
+    #[inline]
     fn slot(&self, r: usize) -> usize {
         assert!((1..=self.counts.len()).contains(&r), "rank {r} outside 1..={}", self.counts.len());
         r - 1
@@ -143,6 +146,7 @@ impl RankTracker {
 
     /// Sets rank `r`'s count to `to`, keeping the singleton and missing
     /// tallies in step.
+    #[inline]
     fn set(&mut self, r: usize, to: u32) {
         let from = std::mem::replace(&mut self.counts[r - 1], to);
         self.ranks_with_one += usize::from(to == 1);
@@ -204,6 +208,7 @@ impl ConfirmWindow {
     /// Checked before each interaction: opens the window at the first
     /// ranked configuration and returns its start `t0` once the window has
     /// stayed open for `window` interactions (at once when `window == 0`).
+    #[inline]
     pub(crate) fn confirmed(&mut self, ranked: bool, now: u64) -> Option<u64> {
         if ranked && self.since.is_none() {
             self.since = Some(now);
@@ -213,6 +218,7 @@ impl ConfirmWindow {
 
     /// Checked after each interaction: a configuration that is no longer
     /// ranked was not stable after all, so the search starts over.
+    #[inline]
     pub(crate) fn keep_if(&mut self, ranked: bool) {
         if !ranked {
             self.since = None;

@@ -42,8 +42,8 @@ const TIMELINE_CAP: usize = 256;
 
 /// Largest population the daemon will create (the counts backend handles
 /// far more, but a service request should not be able to allocate without
-/// bound).
-pub const MAX_N: u64 = 100_000_000;
+/// bound); the same cap bounds an agent snapshot's restore.
+pub use population::snapshot::MAX_N;
 
 /// One slice-boundary checkpoint in a population's retained timeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
