@@ -103,11 +103,11 @@ const MAX_SCHEDULED_AGENTS: usize = u32::MAX as usize;
 
 /// Checked once by every constructor whose sampler draws joint pair
 /// indices, so no draw can wrap n(n−1).
-fn assert_pairs_fit(n: usize) {
-    assert!(
-        n <= MAX_SCHEDULED_AGENTS,
-        "scheduling supports at most {MAX_SCHEDULED_AGENTS} agents, got {n}"
-    );
+fn pairs_fit(n: usize) -> Result<(), String> {
+    if n > MAX_SCHEDULED_AGENTS {
+        return Err(format!("scheduling supports at most {MAX_SCHEDULED_AGENTS} agents, got {n}"));
+    }
+    Ok(())
 }
 
 /// A sampler of ordered interaction pairs over a fixed graph.
@@ -130,7 +130,7 @@ impl Scheduler {
     /// size.
     pub fn new(n: usize, graph: InteractionGraph) -> Self {
         assert!(n >= 2, "scheduling requires at least two agents, got {n}");
-        assert_pairs_fit(n);
+        pairs_fit(n).unwrap_or_else(|e| panic!("{e}"));
         if let InteractionGraph::Arbitrary(list) = &graph {
             assert_eq!(
                 list.population_size(),
@@ -406,7 +406,7 @@ impl EpochStarvation {
             n >= 2 && n - starved.min(n) >= 2,
             "starving {starved} of {n} agents leaves no pair to schedule"
         );
-        assert_pairs_fit(n);
+        pairs_fit(n).unwrap_or_else(|e| panic!("{e}"));
         assert!(window > 0, "starvation window must be positive");
         EpochStarvation { n, starved, window }
     }
@@ -475,7 +475,7 @@ impl Clustered {
     /// (`n / blocks < 2`), `n` exceeds 2³² − 1, or `eps` is outside
     /// `(0, 1]`.
     pub fn new(n: usize, blocks: usize, eps: f64) -> Self {
-        assert_pairs_fit(n);
+        pairs_fit(n).unwrap_or_else(|e| panic!("{e}"));
         assert!(
             blocks >= 1 && n / blocks >= 2,
             "{n} agents in {blocks} blocks leaves a block without a pair"
@@ -577,11 +577,7 @@ impl AnyScheduler {
         if n < 2 {
             return Err(format!("scheduling requires at least two agents, got {n}"));
         }
-        if n > MAX_SCHEDULED_AGENTS {
-            return Err(format!(
-                "scheduling supports at most {MAX_SCHEDULED_AGENTS} agents, got {n}"
-            ));
-        }
+        pairs_fit(n)?;
         let mut parts = spec.split(':');
         let name = parts.next().unwrap_or_default();
         let args: Vec<&str> = parts.collect();

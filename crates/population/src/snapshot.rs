@@ -258,15 +258,18 @@ impl SnapshotDoc {
             }
             Some(_) => {}
         }
-        let total = doc.runs.iter().try_fold(0u64, |sum, (_, c)| sum.checked_add(*c));
-        if total != Some(doc.live) {
-            let total = total.map_or("more than 2^64".to_string(), |t| t.to_string());
-            return Err(corrupt(
-                0,
-                &format!("runs sum to {total} agents, header says {} live", doc.live),
-            ));
-        }
+        doc.check_runs().map_err(|reason| corrupt(0, &reason))?;
         Ok(doc)
+    }
+
+    /// Checks that the runs sum to `live` agents.
+    fn check_runs(&self) -> Result<(), String> {
+        let total = self.runs.iter().try_fold(0u64, |sum, (_, c)| sum.checked_add(*c));
+        if total != Some(self.live) {
+            let total = total.map_or("more than 2^64".to_string(), |t| t.to_string());
+            return Err(format!("runs sum to {total} agents, header says {} live", self.live));
+        }
+        Ok(())
     }
 }
 
@@ -406,14 +409,9 @@ pub fn restore_agents<P: SnapshotProtocol>(
             doc.live
         )));
     }
-    // `from_jsonl` checks that the runs sum to `live`; a document built in
-    // code is checked here, so the pushes below stay within the reservation.
-    if doc.runs.iter().try_fold(0u64, |sum, (_, c)| sum.checked_add(*c)) != Some(doc.live) {
-        return Err(SnapshotError::Mismatch(format!(
-            "runs do not sum to the {} live agents",
-            doc.live
-        )));
-    }
+    // `from_jsonl` checks this too; a document built in code is checked
+    // here, so the pushes below stay within the reservation.
+    doc.check_runs().map_err(SnapshotError::Mismatch)?;
     let mut states = Vec::with_capacity(doc.live as usize);
     for (encoded, count) in &doc.runs {
         if *count == 0 {
@@ -662,7 +660,10 @@ mod tests {
         doc.live = 2;
         doc.runs = vec![("0".to_string(), MAX_N)];
         let err = restore_agents(TokenRank { n: 8 }, &doc).expect_err("refused");
-        assert!(err.to_string().contains("do not sum"), "{err}");
+        assert!(
+            err.to_string().contains("runs sum to 100000000 agents, header says 2 live"),
+            "{err}"
+        );
     }
 
     #[test]

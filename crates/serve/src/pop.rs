@@ -40,9 +40,10 @@ type CountSim<P> = BatchSimulation<P, NoopObserver, NoFaults, Metrics>;
 /// How many slice-boundary checkpoints each population retains.
 const TIMELINE_CAP: usize = 256;
 
-/// Largest population the daemon will create (the counts backend handles
-/// far more, but a service request should not be able to allocate without
-/// bound); the same cap bounds an agent snapshot's restore.
+/// Largest population the daemon will create or let `join` and churn grow
+/// to (the counts backend handles far more, but a service request should
+/// not be able to allocate without bound); the same cap bounds an agent
+/// snapshot's restore.
 pub use population::snapshot::MAX_N;
 
 /// One slice-boundary checkpoint in a population's retained timeline.
@@ -237,10 +238,11 @@ where
     B: ServeBackend<P>,
 {
     fn new(mut backend: B, seed: u64, resumed: bool) -> Self {
+        let plan = capped(&ChurnPlan::none());
         let driver = if resumed {
-            SteppedDriver::bind_resumed(&mut backend, &ChurnPlan::none(), &ByzantineSet::none())
+            SteppedDriver::bind_resumed(&mut backend, &plan, &ByzantineSet::none())
         } else {
-            SteppedDriver::bind(&mut backend, &ChurnPlan::none(), &ByzantineSet::none())
+            SteppedDriver::bind(&mut backend, &plan, &ByzantineSet::none())
         };
         let mut pop = Pop {
             backend,
@@ -315,7 +317,7 @@ where
     }
 
     fn set_churn(&mut self, plan: &ChurnPlan) {
-        self.driver.rebind_churn(plan);
+        self.driver.rebind_churn(&capped(plan));
     }
 
     fn status(&self) -> Status {
@@ -381,6 +383,13 @@ where
     fn snapshot_doc(&self) -> SnapshotDoc {
         self.backend.snapshot_doc()
     }
+}
+
+/// `plan` with its join ceiling lowered to [`MAX_N`]: neither churn nor a
+/// `join` grows a population past what its snapshot restores.
+fn capped(plan: &ChurnPlan) -> ChurnPlan {
+    let cap = MAX_N as usize;
+    plan.clone().with_bounds(plan.min_n, Some(plan.max_n.map_or(cap, |m| m.min(cap))))
 }
 
 fn validated_n(n: u64) -> Result<usize, String> {
@@ -498,6 +507,23 @@ mod tests {
         assert!(create("ciw", "gpu", 16, 1).err().unwrap().contains("unknown backend"));
         assert!(create("ciw", "agents", 1, 1).err().unwrap().contains("at least 2"));
         assert!(create("ciw", "agents", MAX_N + 1, 1).err().unwrap().contains("cap"));
+    }
+
+    /// Joins, before and after a churn-plan rebind, stop at `MAX_N`. A
+    /// counts population restored one agent below the cap keeps this cheap.
+    #[test]
+    fn joins_stop_at_the_population_cap() {
+        let mut doc =
+            SnapshotDoc::from_jsonl(&create("oss", "counts", 10, 1).unwrap().snapshot_jsonl())
+                .unwrap();
+        doc.live = MAX_N - 1;
+        doc.runs = vec![(doc.runs[0].0.clone(), MAX_N - 1)];
+        let mut pop = restore(&doc, 1).unwrap();
+        assert_eq!(pop.inject(EventKind::Join, 5), 1);
+        assert_eq!(pop.status().live as u64, MAX_N);
+        pop.set_churn(&ChurnPlan::parse("0.05", 3).unwrap());
+        assert_eq!(pop.inject(EventKind::Join, 5), 0);
+        assert_eq!(pop.status().live as u64, MAX_N);
     }
 
     #[test]

@@ -587,8 +587,18 @@ impl Registry {
         }
         // Validate before journaling so the journal never holds a command
         // replay would refuse.
-        if let Op::Churn(spec, seed) = &op {
-            ChurnPlan::parse(spec, *seed)?;
+        match &op {
+            Op::Churn(spec, seed) => _ = ChurnPlan::parse(spec, *seed)?,
+            Op::Join(k) => {
+                let live = cell.pop.status().live as u64;
+                if live.checked_add(*k).is_none_or(|total| total > pop::MAX_N) {
+                    return Err(format!(
+                        "join of {k} to {live} live agents exceeds the service cap of {}",
+                        pop::MAX_N
+                    ));
+                }
+            }
+            _ => {}
         }
         // Write-ahead: the command is durable (per policy) before its
         // effects exist, so a crash between the two replays it.

@@ -908,6 +908,23 @@ mod tests {
         assert!(bad.contains("\"ok\":false"), "{bad}");
     }
 
+    /// A join that would grow a population past `MAX_N` is refused before
+    /// it is journaled or applied; the check allocates nothing.
+    #[test]
+    fn joins_past_the_population_cap_are_refused() {
+        let (registry, stop) = fresh();
+        handle_line(
+            &registry,
+            &stop,
+            r#"{"cmd":"create","name":"j","protocol":"oss","backend":"agents","n":10}"#,
+        );
+        let join = format!(r#"{{"cmd":"join","name":"j","k":{}}}"#, crate::pop::MAX_N);
+        let resp = handle_line(&registry, &stop, &join);
+        assert!(resp.contains("\"ok\":false") && resp.contains("service cap"), "{resp}");
+        let status = handle_line(&registry, &stop, r#"{"cmd":"status","name":"j"}"#);
+        assert!(status.contains("\"live\":10") && status.contains("\"seq\":0"), "{status}");
+    }
+
     #[test]
     fn request_ids_replay_instead_of_reapplying() {
         let (registry, stop) = fresh();
