@@ -1141,10 +1141,11 @@ mod tests {
             assert_eq!(row.n, 8, "{backend}");
             assert!(row.interactions > 0, "{backend}: {row:?}");
             match backend {
-                // The agent backend burns exactly two scheduler draws per
-                // interaction and never batches.
+                // The agent backend draws one RNG word per interaction on
+                // the complete graph (one joint pair draw, rejected with
+                // probability below 2⁻⁵⁸ at n = 8) and never batches.
                 "agents" => {
-                    assert_eq!(row.rng_draws, 2 * row.interactions, "{row:?}");
+                    assert_eq!(row.rng_draws, row.interactions, "{row:?}");
                     assert_eq!(row.batches, 0, "{row:?}");
                 }
                 // The counts backend resolves every interaction through the

@@ -58,6 +58,17 @@ impl ResetCore {
     pub fn is_dormant(&self) -> bool {
         self.resetcount == 0
     }
+
+    /// Lines 6–10 for an agent whose `resetcount` is now 0: one that was
+    /// propagating before this interaction starts its delay at `D_max`, one
+    /// that was already dormant counts its delay down. The agent awakens
+    /// when the returned `delaytimer` is 0 (or its partner is computing).
+    #[inline]
+    pub fn dormant_step(self, was_propagating: bool, params: &ResetParams) -> ResetCore {
+        let delaytimer =
+            if was_propagating { params.d_max } else { self.delaytimer.saturating_sub(1) };
+        ResetCore { resetcount: 0, delaytimer }
+    }
 }
 
 /// Tuning constants of Propagate-Reset.
@@ -227,12 +238,7 @@ pub fn propagate_reset<S: ResetView>(
 
     // First agent.
     if x_new.is_dormant() {
-        if x_was_propagating {
-            // resetcount just became 0 — initialize the delay.
-            x_new.delaytimer = params.d_max;
-        } else {
-            x_new.delaytimer = x_new.delaytimer.saturating_sub(1);
-        }
+        x_new = x_new.dormant_step(x_was_propagating, params);
         x.set_reset_core(x_new);
         if x_new.delaytimer == 0 || !y_is_resetting {
             reset_fn(x);
@@ -246,11 +252,7 @@ pub fn propagate_reset<S: ResetView>(
     // Second agent.
     if let Some(mut y_core) = y_core_opt {
         if y_core.is_dormant() {
-            if y_was_propagating {
-                y_core.delaytimer = params.d_max;
-            } else {
-                y_core.delaytimer = y_core.delaytimer.saturating_sub(1);
-            }
+            y_core = y_core.dormant_step(y_was_propagating, params);
             y.set_reset_core(y_core);
             // Line 11's "b.role ≠ Resetting" can only release the *first*
             // agent (y is resetting here by construction), so only the timer

@@ -9,7 +9,8 @@
 //!   these tests pin that contract behaviorally.)
 //! * **Counter reconciliation** — the sink's totals must agree with the
 //!   simulation's own ground truth: interactions counted equal interactions
-//!   performed, batched + exact interactions partition the total, the
+//!   performed, the agent backend's RNG draws equal the words its RNG
+//!   advanced, batched + exact interactions partition the total, the
 //!   batch-size histogram sums to the batch count, and (for deterministic
 //!   protocols on a perfect channel) every interaction consults the memo
 //!   exactly once.
@@ -20,11 +21,12 @@
 use population::metrics::AGENT_FLUSH_EVERY;
 use population::record::from_jsonl;
 use population::{
-    BatchSimulation, Metrics, MetricsRecord, Protocol, RankingProtocol, RecordLine, RunOutcome,
-    RunRecord, Simulation,
+    BatchSimulation, InteractionGraph, Metrics, MetricsRecord, Protocol, RankingProtocol,
+    RecordLine, Reliability, RunOutcome, RunRecord, Simulation,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
+use rand::RngCore;
 
 /// Protocol 1 of the paper in miniature: rank collision bumps the responder.
 #[derive(Clone)]
@@ -47,6 +49,19 @@ impl RankingProtocol for ModRank {
     fn rank_of(&self, s: &usize) -> Option<usize> {
         Some(s + 1)
     }
+}
+
+/// How many words an RNG at stream position `start` draws to reach `end`,
+/// stepping at most `limit` words.
+fn words_between(start: [u64; 4], end: [u64; 4], limit: u64) -> u64 {
+    let mut rng = SmallRng::from_state(start);
+    for words in 0..=limit {
+        if rng.state() == end {
+            return words;
+        }
+        rng.next_u64();
+    }
+    panic!("the final RNG state is more than {limit} words past the start");
 }
 
 /// `(n, initial states)` with every state already in range.
@@ -153,22 +168,35 @@ proptest! {
         );
     }
 
-    /// Agent-backend reconciliation: interactions match, the scheduler
-    /// consumes exactly two draws per interaction, and flushes land every
-    /// `AGENT_FLUSH_EVERY` interactions.
+    /// Agent-backend reconciliation: interactions match, `rng_draws` is
+    /// exactly the number of words the execution drew from its RNG, and
+    /// flushes land every `AGENT_FLUSH_EVERY` interactions. The draw count
+    /// is checked against an independent oracle: a copy of the starting
+    /// RNG stepped one word at a time until it reaches the final stream
+    /// position. `ModRank` draws nothing itself, so every word is the
+    /// scheduler's or the omission coin's: about one per interaction on
+    /// the complete graph, two on the ring, one more with omission.
     #[test]
     fn counters_reconcile_on_the_agent_backend(
         (n, states) in population(),
         k in 0u64..5000,
         seed in 0u64..1000,
+        setup in 0usize..3,
     ) {
         let mut metrics = Metrics::new();
-        let mut sim = Simulation::new(ModRank { n }, states, seed)
-            .with_metrics(&mut metrics);
+        let sim = match setup {
+            0 => Simulation::new(ModRank { n }, states, seed),
+            1 => Simulation::with_graph(ModRank { n }, states, InteractionGraph::Ring, seed),
+            _ => Simulation::new(ModRank { n }, states, seed)
+                .with_reliability(Reliability::with_omission(0.3)),
+        };
+        let start = sim.rng_state();
+        let mut sim = sim.with_metrics(&mut metrics);
         sim.run(k);
+        let end = sim.rng_state();
         drop(sim);
         prop_assert_eq!(metrics.interactions.get(), k);
-        prop_assert_eq!(metrics.rng_draws.get(), 2 * k);
+        prop_assert_eq!(metrics.rng_draws.get(), words_between(start, end, 4 * k + 64));
         prop_assert_eq!(metrics.flushes.get(), k / AGENT_FLUSH_EVERY);
         prop_assert_eq!(metrics.batches.get(), 0, "agent backend never batches");
     }
@@ -181,8 +209,8 @@ proptest! {
         backend in 0usize..2,
         n in 2u64..1_000_000_000,
         // The flat JSONL reader (shared with v1–v4 records) parses
-        // integers through f64, so counters must stay ≤ 2⁵³ (and
-        // rng_draws = 2·interactions must too).
+        // integers through f64, so counters must stay ≤ 2⁵³ (and the
+        // rng_draws = 2·interactions written below must too).
         trial in prop::option::of(0u64..10_000),
         seed in 0u64..(1u64 << 53),
         interactions in 0u64..(1u64 << 52),
