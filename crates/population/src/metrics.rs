@@ -100,7 +100,10 @@ pub trait MetricsSink {
     /// (`step_exact_indices` on the counts backend).
     fn on_exact_step(&mut self) {}
 
-    /// `n` uniform draws were consumed from the execution RNG.
+    /// `n` draws were consumed from the execution RNG: on the agent-array
+    /// backend, the 64-bit words the scheduler and the omission coin drew
+    /// (counted through [`crate::scheduler::CountingRng`]); on the
+    /// count-based backend, its scheduler draws.
     fn on_rng_draws(&mut self, n: u64) {
         let _ = n;
     }
@@ -159,7 +162,8 @@ pub struct Metrics {
     pub batch_sizes: FixedHistogram,
     /// Interactions that went through the exact per-interaction fallback.
     pub exact_steps: Counter,
-    /// Uniform draws consumed from the execution RNG.
+    /// Draws consumed from the execution RNG (see
+    /// [`MetricsSink::on_rng_draws`]).
     pub rng_draws: Counter,
     /// Memoized-transition lookups that hit.
     pub memo_hits: Counter,
