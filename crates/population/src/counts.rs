@@ -67,7 +67,7 @@ use crate::observer::{NoopObserver, Observer};
 use crate::protocol::{Protocol, RankingProtocol};
 use crate::runner::rng_from_seed;
 use crate::scheduler::{uniform_u64, AnyScheduler, Reliability, SchedulerPolicy};
-use crate::simulation::{interact_reliably, RunOutcome};
+use crate::simulation::{interact_observed, RunOutcome};
 use crate::timeline::{snapshot_counts, TimelineObserver};
 use crate::tracker::{ConfirmWindow, RankTracker};
 
@@ -1073,8 +1073,16 @@ where
                 break RunOutcome::Exhausted { interactions: self.interactions };
             }
             let (i, j) = policy.sample_at(&mut self.rng, self.interactions);
-            interact_reliably(&self.protocol, &mut states, i, j, self.reliability, &mut self.rng);
             self.interactions += 1;
+            interact_observed::<P, NoopObserver, true>(
+                &self.protocol,
+                &mut NoopObserver,
+                self.reliability,
+                &mut states,
+                &mut self.rng,
+                self.interactions,
+                (i, j),
+            );
             if F::ACTIVE && self.interactions >= self.faults.next_due() {
                 let fired_before = self.faults.fired_count();
                 let corrupted = self.faults.poll(&self.protocol, &mut states, self.interactions);
@@ -1237,15 +1245,16 @@ where
             let (i, j) = policy.sample_at(&mut self.rng, self.interactions);
             let before_i = self.protocol.rank_of(&states[i]);
             let before_j = self.protocol.rank_of(&states[j]);
-            let applied = interact_reliably(
-                &self.protocol,
-                &mut states,
-                i,
-                j,
-                self.reliability,
-                &mut self.rng,
-            );
             self.interactions += 1;
+            let applied = interact_observed::<P, NoopObserver, true>(
+                &self.protocol,
+                &mut NoopObserver,
+                self.reliability,
+                &mut states,
+                &mut self.rng,
+                self.interactions,
+                (i, j),
+            );
             if applied {
                 tracker.update(before_i, self.protocol.rank_of(&states[i]));
                 tracker.update(before_j, self.protocol.rank_of(&states[j]));
