@@ -20,6 +20,8 @@
 //! the self-stabilizing model already requires the transition function to
 //! tolerate arbitrary values there.
 
+use std::fmt::Write;
+
 use population::snapshot::SnapshotProtocol;
 
 use crate::cai_izumi_wada::{CaiIzumiWada, CiwState};
@@ -39,8 +41,8 @@ impl SnapshotProtocol for CaiIzumiWada {
         population::RankingProtocol::population_size(self) as u64
     }
 
-    fn encode_state(&self, state: &CiwState) -> String {
-        state.rank.to_string()
+    fn encode_state(&self, state: &CiwState, out: &mut String) {
+        let _ = write!(out, "{}", state.rank);
     }
 
     fn decode_state(&self, text: &str) -> Result<CiwState, String> {
@@ -60,18 +62,18 @@ impl SnapshotProtocol for OptimalSilentSsr {
         population::RankingProtocol::population_size(self) as u64
     }
 
-    fn encode_state(&self, state: &OssState) -> String {
-        match state {
-            OssState::Settled { rank, children } => format!("S:{rank}:{children}"),
-            OssState::Unsettled { errorcount } => format!("U:{errorcount}"),
+    fn encode_state(&self, state: &OssState, out: &mut String) {
+        let _ = match state {
+            OssState::Settled { rank, children } => write!(out, "S:{rank}:{children}"),
+            OssState::Unsettled { errorcount } => write!(out, "U:{errorcount}"),
             OssState::Resetting { leader, core } => {
                 let l = match leader {
                     Leader::L => "L",
                     Leader::F => "F",
                 };
-                format!("R:{l}:{}:{}", core.resetcount, core.delaytimer)
+                write!(out, "R:{l}:{}:{}", core.resetcount, core.delaytimer)
             }
-        }
+        };
     }
 
     fn decode_state(&self, text: &str) -> Result<OssState, String> {
@@ -116,8 +118,8 @@ impl SnapshotProtocol for LooselyStabilizingLe {
         u64::from(self.t_max())
     }
 
-    fn encode_state(&self, state: &LooseState) -> String {
-        format!("{}:{}", if state.leader { "L" } else { "F" }, state.timer)
+    fn encode_state(&self, state: &LooseState, out: &mut String) {
+        let _ = write!(out, "{}:{}", if state.leader { "L" } else { "F" }, state.timer);
     }
 
     fn decode_state(&self, text: &str) -> Result<LooseState, String> {
@@ -141,12 +143,18 @@ mod tests {
 
     use crate::adversary;
 
+    fn encoded<P: SnapshotProtocol>(p: &P, state: &P::State) -> String {
+        let mut out = String::new();
+        p.encode_state(state, &mut out);
+        out
+    }
+
     #[test]
     fn ciw_states_round_trip() {
         let p = CaiIzumiWada::new(10);
         for rank in 0..10 {
             let s = CiwState::new(rank);
-            assert_eq!(p.decode_state(&p.encode_state(&s)), Ok(s));
+            assert_eq!(p.decode_state(&encoded(&p, &s)), Ok(s));
         }
         assert!(p.decode_state("10").is_err());
         assert!(p.decode_state("-1").is_err());
@@ -165,7 +173,7 @@ mod tests {
             OssState::resetting(Leader::F, ResetCore { resetcount: 0, delaytimer: 77 }),
         ];
         for s in samples {
-            assert_eq!(p.decode_state(&p.encode_state(&s)), Ok(s));
+            assert_eq!(p.decode_state(&encoded(&p, &s)), Ok(s));
         }
         assert!(p.decode_state("S:0:0").is_err(), "rank below 1");
         assert!(p.decode_state("S:10:0").is_err(), "rank above n");
@@ -178,7 +186,7 @@ mod tests {
     fn loose_states_round_trip() {
         let p = LooselyStabilizingLe::new(64);
         for s in [LooseState { leader: true, timer: 64 }, LooseState { leader: false, timer: 0 }] {
-            assert_eq!(p.decode_state(&p.encode_state(&s)), Ok(s));
+            assert_eq!(p.decode_state(&encoded(&p, &s)), Ok(s));
         }
         assert!(p.decode_state("L").is_err());
         assert!(p.decode_state("X:4").is_err());

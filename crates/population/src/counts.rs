@@ -177,6 +177,12 @@ impl<S: Clone + std::fmt::Debug + Eq + Hash> CountConfig<S> {
         idx
     }
 
+    /// Every `(state, count)` entry in entry order, zero-count tombstones
+    /// included — the layout sampling walks.
+    pub fn entries(&self) -> &[(S, u64)] {
+        &self.entries
+    }
+
     /// Number of entries including tombstones — the bound for entry indices.
     pub(crate) fn raw_len(&self) -> usize {
         self.entries.len()

@@ -181,8 +181,8 @@ pub use runner::{derive_seed, ConvergenceSample, Runner, TrialOutcome, TrialSeed
 pub use scheduler::{AnyScheduler, Reliability, Scheduler, SchedulerPolicy};
 pub use simulation::{RunOutcome, Simulation};
 pub use snapshot::{
-    restore_agents, restore_counts, snapshot_agents, snapshot_counts, SnapshotDoc, SnapshotError,
-    SnapshotProtocol, SNAPSHOT_VERSION,
+    freeze_agents, freeze_counts, restore_agents, restore_counts, snapshot_agents, snapshot_counts,
+    FrozenSnapshot, SnapshotDoc, SnapshotError, SnapshotProtocol, WriteSnapshot, SNAPSHOT_VERSION,
 };
 pub use telemetry::TelemetryObserver;
 pub use timeline::{Progress, Timeline, TimelineCheckpoint, TimelineObserver};

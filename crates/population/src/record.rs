@@ -1220,6 +1220,18 @@ impl Default for JsonObject {
     }
 }
 
+/// Writes `s` JSON-escaped exactly as [`JsonObject::field_str`] escapes
+/// it; text that needs no escaping (every snapshot state) goes straight
+/// to `out`.
+pub(crate) fn write_escaped(out: &mut impl std::io::Write, s: &str) -> std::io::Result<()> {
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        return out.write_all(s.as_bytes());
+    }
+    let mut escaped = String::with_capacity(s.len() + 8);
+    escape_into(&mut escaped, s);
+    out.write_all(escaped.as_bytes())
+}
+
 fn escape_into(buf: &mut String, s: &str) {
     for c in s.chars() {
         match c {

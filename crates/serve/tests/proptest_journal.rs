@@ -250,9 +250,8 @@ proptest! {
         for op in &ops[..s] {
             stopped.apply("p", op.to_op(), None).unwrap();
         }
-        let mut doc = stopped.with_cell("p", |cell| cell.pop.snapshot_doc()).unwrap();
-        doc.seq = s as u64;
-        fs::write(dir.join(format!("p{SNAPSHOT_SUFFIX}")), doc.to_jsonl()).unwrap();
+        let text = stopped.with_cell("p", |cell| cell.pop.freeze().to_jsonl(s as u64)).unwrap();
+        fs::write(dir.join(format!("p{SNAPSHOT_SUFFIX}")), text).unwrap();
         let journal_path = dir.join(format!("p{JOURNAL_SUFFIX}"));
         if tmp {
             let text = fs::read_to_string(&journal_path).unwrap();
