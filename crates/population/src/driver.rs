@@ -436,8 +436,8 @@ impl SteppedDriver {
 
     /// Fraction of observed steps with a unique leader so far (1.0 before
     /// any step is observed).
-    pub fn availability(&self, interactions: u64) -> f64 {
-        self.recovery.clone().into_report(interactions).availability()
+    pub fn availability(&self) -> f64 {
+        self.recovery.availability()
     }
 
     /// Whether the bound plan, fault schedule, and adversary can never
@@ -709,7 +709,7 @@ mod tests {
         }
         assert!(driver.is_ranked(), "never re-stabilized after injected events");
         assert_eq!(driver.open_faults(), 0);
-        assert!(driver.availability(counts.interactions()) <= 1.0);
+        assert!(driver.availability() <= 1.0);
     }
 
     #[test]

@@ -680,6 +680,13 @@ impl RecoveryTracker {
         self.open.len()
     }
 
+    /// Fraction of observed interactions with a unique leader so far —
+    /// what [`ChaosReport::availability`] reports once finalized, without
+    /// finalizing (or copying the fault log).
+    pub fn availability(&self) -> f64 {
+        availability(self.leader_steps, self.observed_steps)
+    }
+
     /// Finalizes into a report; `interactions` is the run's total count.
     pub fn into_report(self, interactions: u64) -> ChaosReport {
         ChaosReport {
@@ -691,6 +698,16 @@ impl RecoveryTracker {
             ranked_steps: self.ranked_steps,
             observed_steps: self.observed_steps,
         }
+    }
+}
+
+/// Fraction of `observed` interactions with a unique leader; vacuously 1.0
+/// if nothing was observed.
+fn availability(leader_steps: u64, observed: u64) -> f64 {
+    if observed == 0 {
+        1.0
+    } else {
+        leader_steps as f64 / observed as f64
     }
 }
 
@@ -749,11 +766,7 @@ impl ChaosReport {
     /// by exactly one agent) — the availability number soak runs report.
     /// Vacuously 1.0 if nothing was observed.
     pub fn availability(&self) -> f64 {
-        if self.observed_steps == 0 {
-            1.0
-        } else {
-            self.leader_steps as f64 / self.observed_steps as f64
-        }
+        availability(self.leader_steps, self.observed_steps)
     }
 
     /// Fraction of observed interactions with a fully correct ranking —
