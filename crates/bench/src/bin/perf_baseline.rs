@@ -105,7 +105,7 @@ fn epidemic_agents_cell(n: u64, budget: u64, exec_seed: u64, seed: u64) -> Metri
     let started = Instant::now();
     {
         let mut sim = Simulation::new(OneWayEpidemic, initial, exec_seed).with_metrics(&mut m);
-        sim.run_until(budget, |_| false);
+        sim.run(budget);
     }
     m.to_record(EXPERIMENT, "epidemic", "agents", n, Some(0), seed, started.elapsed().as_secs_f64())
 }
@@ -133,7 +133,7 @@ fn loose_agents_cell(n: u64, budget: u64, exec_seed: u64, seed: u64) -> MetricsR
     let started = Instant::now();
     {
         let mut sim = Simulation::new(p, initial, exec_seed).with_metrics(&mut m);
-        sim.run_until(budget, |_| false);
+        sim.run(budget);
     }
     m.to_record(EXPERIMENT, "loose", "agents", n, Some(0), seed, started.elapsed().as_secs_f64())
 }
@@ -150,7 +150,7 @@ fn oss_cell(n: u64, budget: u64, exec_seed: u64, seed: u64, counts: bool) -> Met
         sim.run_until(budget, |_| false);
     } else {
         let mut sim = Simulation::new(p, initial, exec_seed).with_metrics(&mut m);
-        sim.run_until(budget, |_| false);
+        sim.run(budget);
     }
     let backend = if counts { "counts" } else { "agents" };
     m.to_record(EXPERIMENT, "oss", backend, n, Some(0), seed, started.elapsed().as_secs_f64())
