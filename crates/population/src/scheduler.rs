@@ -85,7 +85,7 @@ fn lemire<R: RngCore>(rng: &mut R, span: u64) -> (u64, u64) {
 /// quotients collapse), so it is one more widening multiply; the responder
 /// is the remainder idx − i·(m−1), shifted past `i`.
 #[inline(always)]
-fn uniform_pair_from<R: RngCore>(rng: &mut R, lo: usize, n: usize) -> (usize, usize) {
+pub(crate) fn uniform_pair_from<R: RngCore>(rng: &mut R, lo: usize, n: usize) -> (usize, usize) {
     let m = (n - lo) as u64;
     debug_assert!(m >= 2);
     let (x, idx) = lemire(rng, m * (m - 1));

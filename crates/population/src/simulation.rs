@@ -3,6 +3,7 @@
 use std::time::Instant;
 
 use rand::rngs::SmallRng;
+use rand::RngCore;
 
 use crate::fault::{FaultSchedule, NoFaults};
 use crate::graph::InteractionGraph;
@@ -10,7 +11,7 @@ use crate::metrics::{MetricsSink, NoopMetrics, Section, AGENT_FLUSH_EVERY};
 use crate::observer::{NoopObserver, Observer};
 use crate::protocol::{Protocol, RankingProtocol};
 use crate::runner::rng_from_seed;
-use crate::scheduler::{CountingRng, Reliability, Scheduler, SchedulerPolicy};
+use crate::scheduler::{uniform_pair_from, CountingRng, Reliability, Scheduler, SchedulerPolicy};
 use crate::timeline::{snapshot_states, TimelineCheckpoint, TimelineObserver};
 use crate::tracker::{ConfirmWindow, RankTracker};
 
@@ -367,7 +368,13 @@ impl<P: Protocol, O: Observer<P>, F: FaultSchedule<P>, S: SchedulerPolicy, M: Me
     #[inline(always)]
     pub(crate) fn sample_next(&mut self) -> ((usize, usize), u64) {
         let mut extra = 0;
-        let pair = sample::<S, M>(&self.scheduler, &mut self.rng, self.interactions, &mut extra);
+        let pair = sample::<S, M, false>(
+            &self.scheduler,
+            self.states.len(),
+            &mut self.rng,
+            self.interactions,
+            &mut extra,
+        );
         (pair, extra.wrapping_add(1))
     }
 
@@ -481,19 +488,21 @@ impl<P: Protocol, O: Observer<P>, F: FaultSchedule<P>, S: SchedulerPolicy, M: Me
         outcome
     }
 
-    /// [`Simulation::drive_loop`] with the reliability model lifted to a
-    /// const generic: perfect channels compile without the omission draw
-    /// and the one-way copy.
+    /// [`Simulation::drive_loop`] with the reliability model and the pair
+    /// draw lifted to const generics: perfect channels compile without the
+    /// omission draw and the one-way copy, and a uniform policy on the
+    /// complete graph draws its pairs without consulting the scheduler.
     fn drive<G: Goal<P>, const TIMELINE: bool>(
         &mut self,
         goal: &mut G,
         until: u64,
         timeline: Option<&mut TimelineObserver>,
     ) -> RunOutcome {
-        if self.reliability.is_perfect() {
-            self.drive_loop::<G, false, TIMELINE>(goal, until, timeline)
-        } else {
-            self.drive_loop::<G, true, TIMELINE>(goal, until, timeline)
+        match (self.reliability.is_perfect(), self.scheduler.is_uniform_complete()) {
+            (true, true) => self.drive_loop::<G, false, true, TIMELINE>(goal, until, timeline),
+            (true, false) => self.drive_loop::<G, false, false, TIMELINE>(goal, until, timeline),
+            (false, true) => self.drive_loop::<G, true, true, TIMELINE>(goal, until, timeline),
+            (false, false) => self.drive_loop::<G, true, false, TIMELINE>(goal, until, timeline),
         }
     }
 
@@ -504,13 +513,23 @@ impl<P: Protocol, O: Observer<P>, F: FaultSchedule<P>, S: SchedulerPolicy, M: Me
     /// The RNG, the interaction clock and the state slice are locals for
     /// the whole call and are written back on return, so the per-interaction
     /// path stores to no field of `self` and the compiler can keep the RNG
-    /// and the clock in registers. `LOSSY` (a non-perfect [`Reliability`])
-    /// and `TIMELINE` (a [`TimelineObserver`] attached) are const generics
-    /// for the same reason `O::WATCHES_*`, `F::ACTIVE` and `M::ENABLED` are
+    /// and the clock in registers. `LOSSY` (a non-perfect [`Reliability`]),
+    /// `COMPLETE` (the uniform scheduler on the complete graph) and
+    /// `TIMELINE` (a [`TimelineObserver`] attached) are const generics for
+    /// the same reason `O::WATCHES_*`, `F::ACTIVE` and `M::ENABLED` are
     /// associated consts: a switch that cannot change during the call
-    /// costs nothing per interaction.
+    /// costs nothing per interaction. With `COMPLETE` the pair is one joint
+    /// draw over `0..n`, so the loop never reads the scheduler's graph.
+    ///
+    /// The goal is asked only at a stop clock: the earliest of the budget,
+    /// the next flush boundary (with an enabled sink) and the goal's own
+    /// [`Goal::deadline`]. Between stops the goal's answer cannot change
+    /// unless [`Goal::settle`] says it may (a rank changed, or a fault
+    /// fired), and then the next clock becomes a stop. A predicate's
+    /// deadline is always the next clock, so it is still asked at every
+    /// one.
     #[inline]
-    fn drive_loop<G: Goal<P>, const LOSSY: bool, const TIMELINE: bool>(
+    fn drive_loop<G: Goal<P>, const LOSSY: bool, const COMPLETE: bool, const TIMELINE: bool>(
         &mut self,
         goal: &mut G,
         until: u64,
@@ -529,13 +548,14 @@ impl<P: Protocol, O: Observer<P>, F: FaultSchedule<P>, S: SchedulerPolicy, M: Me
         } = self;
         let reliability = *reliability;
         let states = &mut states[..];
+        let n = states.len();
         let mut rng = rng_slot.clone();
         let mut now = *interactions;
         let mut meter = Meter::start::<M>(now);
-        // Stepping pauses at the budget or, with an enabled sink, at the
-        // next flush boundary if that comes first, so one comparison per
-        // interaction serves both.
-        let mut stop = meter.stop::<M>(until);
+        // One comparison per interaction serves the goal, the budget and
+        // the sink. The first stop is now, so the goal sees the starting
+        // configuration.
+        let mut stop = now;
         let outcome = loop {
             if let (true, Some(tl)) = (TIMELINE, timeline.as_deref_mut()) {
                 if tl.is_due(now) {
@@ -544,22 +564,25 @@ impl<P: Protocol, O: Observer<P>, F: FaultSchedule<P>, S: SchedulerPolicy, M: Me
                     meter.charge(Section::Observe, t0);
                 }
             }
-            let t0 = if G::PROBES { Meter::clock::<M>() } else { None };
-            let reached = goal.reached(protocol, states, now);
-            if G::PROBES {
-                meter.charge(Section::Probe, t0);
-            }
-            if let Some(at) = reached {
-                break RunOutcome::Converged { interactions: at };
-            }
             if now >= stop {
+                let t0 = if G::PROBES { Meter::clock::<M>() } else { None };
+                let reached = goal.reached(protocol, states, now);
+                if G::PROBES {
+                    meter.charge(Section::Probe, t0);
+                }
+                if let Some(at) = reached {
+                    break RunOutcome::Converged { interactions: at };
+                }
                 if now >= until {
                     break RunOutcome::Exhausted { interactions: now };
                 }
-                meter.credit(metrics, now);
-                stop = meter.stop::<M>(until);
+                if M::ENABLED && now >= meter.next_flush {
+                    meter.credit(metrics, now);
+                }
+                stop = meter.stop::<M>(until).min(goal.deadline(now));
             }
-            let (i, j) = sample::<S, M>(scheduler, &mut rng, now, &mut meter.extra_draws);
+            let (i, j) =
+                sample::<S, M, COMPLETE>(scheduler, n, &mut rng, now, &mut meter.extra_draws);
             let mark = goal.mark(protocol, states, i, j);
             now += 1;
             interact_observed::<P, O, LOSSY>(
@@ -576,7 +599,9 @@ impl<P: Protocol, O: Observer<P>, F: FaultSchedule<P>, S: SchedulerPolicy, M: Me
             }
             let faulted =
                 F::ACTIVE && poll_faults(faults, protocol, states, observer, now).is_some();
-            goal.settle(mark, protocol, states, i, j, faulted);
+            if goal.settle(mark, protocol, states, i, j, faulted) {
+                stop = now;
+            }
         };
         meter.credit(metrics, now);
         *rng_slot = rng;
@@ -670,15 +695,21 @@ trait Goal<P: Protocol> {
     /// What the goal remembers about the pair before its transition.
     type Mark: Copy;
 
-    /// Checked before every interaction at clock `now`: the interaction
-    /// count at which the goal was reached, or `None` to keep going.
+    /// Asked at a stop clock `now`: the interaction count at which the
+    /// goal was reached, or `None` to keep going.
     fn reached(&mut self, protocol: &P, states: &[P::State], now: u64) -> Option<u64>;
+
+    /// Asked right after [`Goal::reached`] returned `None` at `now`: the
+    /// clock at which its answer may next change, assuming no
+    /// [`Goal::settle`] reports a change before then.
+    fn deadline(&self, now: u64) -> u64;
 
     /// Called with the sampled pair before its transition.
     fn mark(&self, protocol: &P, states: &[P::State], i: usize, j: usize) -> Self::Mark;
 
     /// Called after the pair's transition and the fault poll; `faulted`
-    /// says whether a fault overwrote agents.
+    /// says whether a fault overwrote agents. Returns whether the goal
+    /// changed, so that [`Goal::reached`] must be asked at the next clock.
     fn settle(
         &mut self,
         mark: Self::Mark,
@@ -687,7 +718,7 @@ trait Goal<P: Protocol> {
         i: usize,
         j: usize,
         faulted: bool,
-    );
+    ) -> bool;
 
     /// A timeline checkpoint of the configuration (only goals driven with
     /// a timeline are asked).
@@ -710,10 +741,17 @@ impl<P: Protocol> Goal<P> for Steps {
     }
 
     #[inline(always)]
+    fn deadline(&self, _: u64) -> u64 {
+        u64::MAX
+    }
+
+    #[inline(always)]
     fn mark(&self, _: &P, _: &[P::State], _: usize, _: usize) {}
 
     #[inline(always)]
-    fn settle(&mut self, _: (), _: &P, _: &[P::State], _: usize, _: usize, _: bool) {}
+    fn settle(&mut self, _: (), _: &P, _: &[P::State], _: usize, _: usize, _: bool) -> bool {
+        false
+    }
 }
 
 /// [`Simulation::run_until`]'s goal: a predicate over the configuration.
@@ -728,11 +766,19 @@ impl<P: Protocol, G: FnMut(&[P::State]) -> bool> Goal<P> for Predicate<G> {
         (self.0)(states).then_some(now)
     }
 
+    /// Any interaction may satisfy a predicate: ask it at the next clock.
+    #[inline(always)]
+    fn deadline(&self, now: u64) -> u64 {
+        now
+    }
+
     #[inline(always)]
     fn mark(&self, _: &P, _: &[P::State], _: usize, _: usize) {}
 
     #[inline(always)]
-    fn settle(&mut self, _: (), _: &P, _: &[P::State], _: usize, _: usize, _: bool) {}
+    fn settle(&mut self, _: (), _: &P, _: &[P::State], _: usize, _: usize, _: bool) -> bool {
+        false
+    }
 }
 
 /// The stable-ranking goal: an incremental rank histogram and the
@@ -742,29 +788,18 @@ struct StablyRanked {
     confirm: ConfirmWindow,
 }
 
-impl<P: RankingProtocol> Goal<P> for StablyRanked {
-    const PROBES: bool = false;
-    /// The pair's ranks before the transition.
-    type Mark = (Option<usize>, Option<usize>);
-
-    #[inline(always)]
-    fn reached(&mut self, _: &P, _: &[P::State], now: u64) -> Option<u64> {
-        self.confirm.confirmed(self.tracker.is_correct(), now)
-    }
-
-    #[inline(always)]
-    fn mark(&self, protocol: &P, states: &[P::State], i: usize, j: usize) -> Self::Mark {
-        (protocol.rank_of(&states[i]), protocol.rank_of(&states[j]))
-    }
-
-    #[inline(always)]
-    fn settle(
+impl StablyRanked {
+    /// The rare end of [`Goal::settle`]: a rank of the pair changed, or a
+    /// fault fired. Out of line, so the common path is one comparison of
+    /// the pair's rank words.
+    #[cold]
+    #[inline(never)]
+    fn rerank<P: RankingProtocol>(
         &mut self,
-        (before_i, before_j): Self::Mark,
+        before: u64,
+        after: u64,
         protocol: &P,
         states: &[P::State],
-        i: usize,
-        j: usize,
         faulted: bool,
     ) {
         if faulted {
@@ -774,15 +809,92 @@ impl<P: RankingProtocol> Goal<P> for StablyRanked {
             self.tracker = RankTracker::of_states(protocol, states);
             self.confirm.restart();
         } else {
-            self.tracker.update(before_i, protocol.rank_of(&states[i]));
-            self.tracker.update(before_j, protocol.rank_of(&states[j]));
+            for shift in [0, 32] {
+                self.tracker.update(rank_of_word(before >> shift), rank_of_word(after >> shift));
+            }
         }
         self.confirm.keep_if(self.tracker.is_correct());
+    }
+}
+
+impl<P: RankingProtocol> Goal<P> for StablyRanked {
+    const PROBES: bool = false;
+    /// The pair's ranks before the transition, as [`rank_pair`] packs them.
+    type Mark = u64;
+
+    #[inline(always)]
+    fn reached(&mut self, _: &P, _: &[P::State], now: u64) -> Option<u64> {
+        self.confirm.confirmed(self.tracker.is_correct(), now)
+    }
+
+    /// The open window's end; while it is closed, only a rank change can
+    /// open it.
+    #[inline(always)]
+    fn deadline(&self, _: u64) -> u64 {
+        self.confirm.deadline()
+    }
+
+    #[inline(always)]
+    fn mark(&self, protocol: &P, states: &[P::State], i: usize, j: usize) -> u64 {
+        rank_pair(protocol, states, i, j)
+    }
+
+    #[inline(always)]
+    fn settle(
+        &mut self,
+        before: u64,
+        protocol: &P,
+        states: &[P::State],
+        i: usize,
+        j: usize,
+        faulted: bool,
+    ) -> bool {
+        let after = rank_pair(protocol, states, i, j);
+        if before == after && !faulted {
+            return false;
+        }
+        self.rerank(before, after, protocol, states, faulted);
+        true
     }
 
     fn checkpoint(&self, protocol: &P, states: &[P::State], now: u64) -> TimelineCheckpoint {
         snapshot_states(protocol, states, now)
     }
+}
+
+/// The ranks of agents `i` and `j` as one word, `i`'s in the low half and
+/// `j`'s in the high half, so a pair's ranks are compared across its
+/// transition in one instruction.
+#[inline(always)]
+fn rank_pair<P: RankingProtocol>(protocol: &P, states: &[P::State], i: usize, j: usize) -> u64 {
+    rank_word(protocol.rank_of(&states[i])) | rank_word(protocol.rank_of(&states[j])) << 32
+}
+
+/// One rank as a 32-bit word, 0 standing for no rank.
+///
+/// # Panics
+///
+/// Panics if the rank is outside `1..=u32::MAX`, which the word cannot
+/// tell apart from another.
+#[inline(always)]
+fn rank_word(rank: Option<usize>) -> u64 {
+    match rank {
+        None => 0,
+        Some(r) if r.wrapping_sub(1) < u32::MAX as usize => r as u64,
+        Some(r) => rank_out_of_range(r),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn rank_out_of_range(r: usize) -> ! {
+    panic!("rank {r} outside 1..={}", u32::MAX)
+}
+
+/// The rank held in the low half of `word` (see [`rank_word`]).
+fn rank_of_word(word: u64) -> Option<usize> {
+    let r = word as u32;
+    (r != 0).then_some(r as usize)
 }
 
 /// Engine metrics of one [`Simulation::drive_loop`] call, credited to the
@@ -867,22 +979,40 @@ impl Meter {
     }
 }
 
-/// Samples the next pair from `scheduler`. With an enabled sink, adds the
-/// RNG words the policy drew beyond the first to `extra` (wrapping).
+/// Samples the next pair of `n` agents: with `COMPLETE` (the caller has
+/// checked [`SchedulerPolicy::is_uniform_complete`]) the joint uniform
+/// draw, otherwise the policy's own. With an enabled sink, adds the RNG
+/// words drawn beyond the first to `extra` (wrapping).
 #[inline(always)]
-fn sample<S: SchedulerPolicy, M: MetricsSink>(
+fn sample<S: SchedulerPolicy, M: MetricsSink, const COMPLETE: bool>(
     scheduler: &S,
+    n: usize,
     rng: &mut SmallRng,
     now: u64,
     extra: &mut u64,
 ) -> (usize, usize) {
     if M::ENABLED {
         let mut counting = CountingRng::new(rng);
-        let pair = scheduler.sample_at(&mut counting, now);
+        let pair = draw::<S, _, COMPLETE>(scheduler, n, &mut counting, now);
         if counting.draws() != 1 {
             add_extra_draws(extra, counting.draws());
         }
         pair
+    } else {
+        draw::<S, _, COMPLETE>(scheduler, n, rng, now)
+    }
+}
+
+/// [`sample`]'s draw on either RNG.
+#[inline(always)]
+fn draw<S: SchedulerPolicy, R: RngCore, const COMPLETE: bool>(
+    scheduler: &S,
+    n: usize,
+    rng: &mut R,
+    now: u64,
+) -> (usize, usize) {
+    if COMPLETE {
+        uniform_pair_from(rng, 0, n)
     } else {
         scheduler.sample_at(rng, now)
     }
@@ -1257,5 +1387,40 @@ mod tests {
         let telemetry = sim.into_observer();
         assert_eq!(telemetry.converged.get(), 1);
         assert_eq!(telemetry.exhausted.get(), 1);
+    }
+
+    /// Every responder takes the rank `self.0`, however invalid.
+    struct Stamp(usize);
+    impl Protocol for Stamp {
+        type State = usize;
+        fn interact(&self, _a: &mut usize, b: &mut usize, _rng: &mut SmallRng) {
+            *b = self.0;
+        }
+    }
+    impl RankingProtocol for Stamp {
+        fn population_size(&self) -> usize {
+            2
+        }
+        fn rank_of(&self, state: &usize) -> Option<usize> {
+            Some(*state)
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 0 outside 1..=")]
+    fn a_rank_of_zero_panics_in_the_ranked_loop() {
+        Simulation::new(Stamp(0), vec![1, 1], 1).run_until_stably_ranked(10, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 4294967296 outside 1..=")]
+    fn a_rank_above_u32_panics_in_the_ranked_loop() {
+        Simulation::new(Stamp(1 << 32), vec![1, 1], 1).run_until_stably_ranked(10, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 3 outside 1..=2")]
+    fn a_rank_above_n_panics_in_the_ranked_loop() {
+        Simulation::new(Stamp(3), vec![1, 1], 1).run_until_stably_ranked(10, 0);
     }
 }

@@ -230,6 +230,13 @@ impl ConfirmWindow {
     pub(crate) fn restart(&mut self) {
         self.since = None;
     }
+
+    /// The clock at which the open window confirms, `u64::MAX` while it is
+    /// closed. Until then [`ConfirmWindow::confirmed`] keeps returning
+    /// `None` unless rankedness changes.
+    pub(crate) fn deadline(&self) -> u64 {
+        self.since.map_or(u64::MAX, |t0| t0.saturating_add(self.window))
+    }
 }
 
 #[cfg(test)]
@@ -373,6 +380,21 @@ mod tests {
                 assert_eq!(t.is_correct(), t.ranks_with_one() == n);
             }
         }
+    }
+
+    #[test]
+    fn confirm_window_deadline_is_its_end_while_open() {
+        let mut w = ConfirmWindow::new(5);
+        assert_eq!(w.deadline(), u64::MAX, "a closed window has no deadline");
+        assert_eq!(w.confirmed(true, 10), None);
+        assert_eq!(w.deadline(), 15);
+        assert_eq!(w.confirmed(true, 14), None);
+        assert_eq!(w.confirmed(true, 15), Some(10));
+        w.keep_if(false);
+        assert_eq!(w.deadline(), u64::MAX);
+        let mut long = ConfirmWindow::new(u64::MAX);
+        long.confirmed(true, 3);
+        assert_eq!(long.deadline(), u64::MAX, "an end past the clock's range saturates");
     }
 
     #[test]

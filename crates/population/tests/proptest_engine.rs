@@ -2,9 +2,55 @@
 
 use population::runner::{derive_seed, rng_from_seed};
 use population::scheduler::Scheduler;
-use population::{InteractionGraph, Protocol, RankTracker, Simulation};
+use population::{
+    InteractionGraph, Protocol, RankTracker, RankingProtocol, RunOutcome, SchedulerPolicy,
+    Simulation,
+};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
+use rand::{Rng, RngCore};
+
+/// Ranks by collision: an unranked initiator, or a responder sharing the
+/// initiator's rank, draws a fresh rank at random. Silent once ranked, and
+/// its transitions draw from the simulation RNG, so a changed draw order
+/// shows in the final states.
+struct Collide(usize);
+
+impl Protocol for Collide {
+    type State = Option<usize>;
+    fn interact(&self, a: &mut Option<usize>, b: &mut Option<usize>, rng: &mut SmallRng) {
+        if a.is_none() {
+            *a = Some(rng.gen_range(1..=self.0));
+        } else if a == b {
+            *b = Some(rng.gen_range(1..=self.0));
+        }
+    }
+}
+
+impl RankingProtocol for Collide {
+    fn population_size(&self) -> usize {
+        self.0
+    }
+    fn rank_of(&self, state: &Option<usize>) -> Option<usize> {
+        *state
+    }
+}
+
+/// The uniform scheduler behind a policy that does not call itself
+/// uniform-complete, so the engine draws through `sample_at`.
+struct Opaque(Scheduler);
+
+impl SchedulerPolicy for Opaque {
+    fn label(&self) -> &'static str {
+        "opaque"
+    }
+    fn population_size(&self) -> usize {
+        self.0.population_size()
+    }
+    fn sample_at<R: RngCore>(&self, rng: &mut R, _: u64) -> (usize, usize) {
+        self.0.sample_pair(rng)
+    }
+}
 
 /// Reference implementation of rank-correctness for cross-checking the
 /// incremental tracker.
@@ -77,6 +123,46 @@ proptest! {
         sim2.run(steps);
         prop_assert_eq!(sim1.states(), sim2.states());
         prop_assert_eq!(sim1.interactions(), steps);
+    }
+
+    /// The stable-ranking loop asks its goal only when a rank changes; a
+    /// budgeted run of the same length must end on the same configuration
+    /// and RNG position, with pairs drawn through the policy instead of the
+    /// loop's own complete-graph draw.
+    #[test]
+    fn stably_ranked_runs_replay_as_budgeted_runs(
+        seed in any::<u64>(),
+        n in 2usize..64,
+        budget in 0u64..100_000,
+        window in 0u64..300,
+        hits in 0usize..5,
+        ring in any::<bool>(),
+    ) {
+        // A permutation with a few agents overwritten: some runs converge
+        // within the budget, the others exhaust it.
+        let mut rng = rng_from_seed(seed ^ 0x5eed);
+        let mut initial: Vec<Option<usize>> = (1..=n).map(Some).collect();
+        for _ in 0..hits {
+            let agent = rng.gen_range(0..n);
+            initial[agent] = rng.gen_bool(0.8).then(|| rng.gen_range(1..=n));
+        }
+        let graph = if ring { InteractionGraph::Ring } else { InteractionGraph::Complete };
+        let mut ranked = Simulation::with_graph(Collide(n), initial.clone(), graph.clone(), seed);
+        let outcome = ranked.run_until_stably_ranked(budget, window);
+        let k = ranked.interactions();
+        match outcome {
+            RunOutcome::Converged { interactions } => {
+                prop_assert_eq!(k, interactions + window);
+                prop_assert!(ranked.is_ranked());
+            }
+            RunOutcome::Exhausted { interactions } => prop_assert_eq!(k, interactions.max(budget)),
+        }
+        let policy = Opaque(Scheduler::new(n, graph));
+        let mut budgeted = Simulation::with_policy(Collide(n), initial, policy, seed);
+        budgeted.run(k);
+        prop_assert_eq!(budgeted.interactions(), k);
+        prop_assert_eq!(budgeted.rng_state(), ranked.rng_state());
+        prop_assert_eq!(budgeted.states(), ranked.states());
     }
 
     #[test]
