@@ -244,7 +244,9 @@ fn bench_json(seed: u64, quick: bool, cells: &[MetricsRecord], skipped: &[Skippe
 /// simulation and one with `NoopMetrics` attached explicitly are the same
 /// monomorphization, so their throughput must agree within noise; the
 /// recording-sink run is printed as context (its overhead is allowed to be
-/// nonzero — that is the price of turning metrics *on*).
+/// nonzero — that is the price of turning metrics *on*). All three run a
+/// plain budget: a predicate, even a constant one, would be timed as the
+/// Probe section on every interaction under the recording sink.
 fn overhead_check(seed: u64) -> bool {
     const N: u64 = 1_000_000;
     const BUDGET: u64 = 4_000_000;
@@ -256,14 +258,14 @@ fn overhead_check(seed: u64) -> bool {
         let initial = OneWayEpidemic::seeded_configuration(N as usize);
         let mut sim = Simulation::new(OneWayEpidemic, initial, exec_seed);
         let started = Instant::now();
-        sim.run_until(BUDGET, |_| false);
+        sim.run(BUDGET);
         started.elapsed().as_secs_f64()
     };
     let run_noop = || {
         let initial = OneWayEpidemic::seeded_configuration(N as usize);
         let mut sim = Simulation::new(OneWayEpidemic, initial, exec_seed).with_metrics(NoopMetrics);
         let started = Instant::now();
-        sim.run_until(BUDGET, |_| false);
+        sim.run(BUDGET);
         started.elapsed().as_secs_f64()
     };
     let run_recording = || {
@@ -273,7 +275,7 @@ fn overhead_check(seed: u64) -> bool {
         {
             let mut sim = Simulation::new(OneWayEpidemic, initial, exec_seed).with_metrics(&mut m);
             started = Instant::now();
-            sim.run_until(BUDGET, |_| false);
+            sim.run(BUDGET);
         }
         started.elapsed().as_secs_f64()
     };
