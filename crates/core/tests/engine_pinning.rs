@@ -17,8 +17,21 @@
 //! ranked, a budget that ends inside an open window, a budget equal to
 //! the window's end (where convergence wins over exhaustion) and a window
 //! that ends on a metrics flush boundary.
+//!
+//! Chaos and churn runs are pinned the same way, each line adding a digest
+//! of the run's report (its `Debug` form): `run_chaos` under every hook
+//! above, with one-shot faults the run recovers from and a soak of
+//! repeating faults continued by a second call; `run_dynamics` under join,
+//! leave and replace churn (with the population clamps), pinned Byzantine
+//! agents, a fault plan mixing at-time, after-convergence and repeating
+//! triggers, all of them at once under a metrics sink, and churn already
+//! due when a run starts. These values were recorded from the engine as it
+//! stood while chaos and churn runs still kept loops of their own.
 
-use population::fault::{FaultAction, FaultPlan, FaultSchedule, FaultSize};
+use population::dynamics::{ByzantineSet, ChurnPlan};
+use population::fault::{
+    FaultAction, FaultInjector, FaultPlan, FaultSchedule, FaultSize, NoFaults,
+};
 use population::metrics::AGENT_FLUSH_EVERY;
 use population::runner::rng_from_seed;
 use population::scheduler::Zipf;
@@ -146,6 +159,108 @@ where
     out
 }
 
+/// Renders one line per chaos run on fresh simulations from `build`: a
+/// plan of one-shot faults the run recovers from, then a soak of repeating
+/// faults that a second call continues, so a run that fails to hand back
+/// its RNG, clock or fault log shows in the next.
+fn chaos<O, S, M>(
+    hook: &str,
+    build: impl Fn() -> Sim<O, NoFaults, S, M>,
+    extra: impl Fn(&Sim<O, FaultInjector, S, M>) -> String,
+) -> Vec<String>
+where
+    O: Observer<OptimalSilentSsr>,
+    S: SchedulerPolicy,
+    M: MetricsSink,
+{
+    let mut out = Vec::new();
+    let oneshot = FaultPlan::new(11)
+        .at_interaction(700, FaultAction::CorruptRandom(FaultSize::Exact(2)))
+        .after_convergence(200, FaultAction::DuplicateLeader);
+    let mut sim = build().with_fault_plan(&oneshot);
+    let report = sim.run_chaos(400_000);
+    out.push(line(&format!("{hook}/chaos"), &sim, &reported(&extra(&sim), &report)));
+    let soak = FaultPlan::new(13)
+        .every_interactions(2_500, FaultAction::CorruptRandom(FaultSize::Exact(3)));
+    let mut sim = build().with_fault_plan(&soak);
+    for (label, budget) in [("soak", 30_000), ("soak_more", 45_001)] {
+        let report = sim.run_chaos(budget);
+        out.push(line(&format!("{hook}/{label}"), &sim, &reported(&extra(&sim), &report)));
+    }
+    out
+}
+
+/// One line per dynamic-population run: membership churn with its clamps,
+/// pinned Byzantine agents, a fault plan mixing every trigger kind (its
+/// first fault fires on the clock of a membership event), everything at
+/// once under a metrics sink, and churn already due when a run starts late
+/// (it fires after the run's first interaction).
+fn dynamics() -> Vec<String> {
+    let plain = || Simulation::new(protocol(), initial(), SEED);
+    let none = ChurnPlan::none;
+    let honest = ByzantineSet::none;
+    let mut out = Vec::new();
+
+    let churn = ChurnPlan::new(5).join_at(10.0, 3).leave_at(40.0, 3).replace_at(70.0, 2);
+    let mut sim = plain();
+    let report = sim.run_dynamics(&churn, &honest(), 400_000);
+    out.push(line("dynamics/churn", &sim, &reported("", &report)));
+
+    let clamped =
+        ChurnPlan::new(6).join_at(10.0, 8).leave_at(40.0, 12).rate(0.25).with_bounds(30, Some(36));
+    let mut sim = plain();
+    let report = sim.run_dynamics(&clamped, &honest(), 60_000);
+    out.push(line("dynamics/clamped", &sim, &reported("", &report)));
+
+    let mut sim = plain();
+    let report = sim.run_dynamics(&none(), &ByzantineSet::new(0.1, 9), 60_000);
+    out.push(line("dynamics/byzantine", &sim, &reported("", &report)));
+
+    let plan = FaultPlan::new(17)
+        .at_interaction(320, FaultAction::CorruptRandom(FaultSize::Exact(2)))
+        .at_parallel_time(30.0, FaultAction::Collide(FaultSize::Exact(3)))
+        .after_convergence(100, FaultAction::CorruptRandom(FaultSize::Exact(2)))
+        .every_interactions(7_000, FaultAction::DuplicateLeader);
+    let mut sim = plain().with_fault_plan(&plan);
+    let report = sim.run_dynamics(&ChurnPlan::new(8).replace_at(10.0, 1), &honest(), 60_000);
+    out.push(line("dynamics/faults", &sim, &reported("", &report)));
+
+    let everything = ChurnPlan::parse("0.5, join:2@10, leave:2@30", 19).unwrap();
+    let mut sim = plain().with_fault_plan(&plan).with_metrics(Metrics::new());
+    let report = sim.run_dynamics(&everything, &ByzantineSet::new(0.1, 23), 60_000);
+    out.push(line("dynamics/everything", &sim, &reported(&metered(&sim), &report)));
+
+    let mut sim = plain();
+    sim.run(1_501);
+    let late = ChurnPlan::new(3).join_at(10.0, 2).leave_at(40.0, 2);
+    let report = sim.run_dynamics(&late, &honest(), 400_000);
+    out.push(line("dynamics/late", &sim, &reported("", &report)));
+    out
+}
+
+/// `extra` followed by a digest of a run's report.
+fn reported(extra: &str, report: &dyn std::fmt::Debug) -> String {
+    format!("{extra} report={:016x}", digest(&report))
+}
+
+fn telemetry<F, S, M>(sim: &Sim<TelemetryObserver, F, S, M>) -> String
+where
+    F: FaultSchedule<OptimalSilentSsr>,
+    S: SchedulerPolicy,
+    M: MetricsSink,
+{
+    let t = sim.observer();
+    format!(
+        " seen={} effective={} phases={} converged={} exhausted={} batches={}",
+        t.interactions.get(),
+        t.effective.get(),
+        t.phase_transitions.len(),
+        t.converged.get(),
+        t.exhausted.get(),
+        t.batches.get(),
+    )
+}
+
 fn nothing<T>(_: &T) -> String {
     String::new()
 }
@@ -153,22 +268,7 @@ fn nothing<T>(_: &T) -> String {
 fn pinned_lines() -> Vec<String> {
     let plain = || Simulation::new(protocol(), initial(), SEED);
     let mut out = exercise("plain", plain, nothing);
-    out.extend(exercise(
-        "telemetry",
-        || plain().observe(TelemetryObserver::new()),
-        |sim| {
-            let t = sim.observer();
-            format!(
-                " seen={} effective={} phases={} converged={} exhausted={} batches={}",
-                t.interactions.get(),
-                t.effective.get(),
-                t.phase_transitions.len(),
-                t.converged.get(),
-                t.exhausted.get(),
-                t.batches.get(),
-            )
-        },
-    ));
+    out.extend(exercise("telemetry", || plain().observe(TelemetryObserver::new()), telemetry));
     let plan = FaultPlan::new(7)
         .every_interactions(2_500, FaultAction::CorruptRandom(FaultSize::Exact(3)));
     out.extend(exercise("faults", || plain().with_fault_plan(&plan), nothing));
@@ -218,6 +318,35 @@ fn pinned_lines() -> Vec<String> {
         let outcome = sim.run_until_stably_ranked(400_000, window);
         out.push(line(&format!("ranked_start/{window} {outcome:?}"), &sim, &metered(&sim)));
     }
+    out.extend(chaos("plain", plain, nothing));
+    out.extend(chaos("telemetry", || plain().observe(TelemetryObserver::new()), telemetry));
+    out.extend(chaos(
+        "omission",
+        || plain().with_reliability(Reliability::with_omission(0.3)),
+        nothing,
+    ));
+    out.extend(chaos(
+        "one_way",
+        || plain().with_reliability(Reliability::perfect().and_one_way()),
+        nothing,
+    ));
+    out.extend(chaos(
+        "omission_one_way",
+        || plain().with_reliability(Reliability::with_omission(0.3).and_one_way()),
+        nothing,
+    ));
+    out.extend(chaos("metrics", || plain().with_metrics(Metrics::new()), metered));
+    out.extend(chaos(
+        "zipf",
+        || Simulation::with_policy(protocol(), initial(), Zipf::new(N, 1.2), SEED),
+        nothing,
+    ));
+    out.extend(chaos(
+        "ring",
+        || Simulation::with_graph(protocol(), initial(), InteractionGraph::Ring, SEED),
+        nothing,
+    ));
+    out.extend(dynamics());
     out
 }
 
@@ -299,7 +428,37 @@ zipf/window_end Converged { interactions: 96078 }: states=cc863e02f8d3cb3b inter
 zipf/flush_end Converged { interactions: 96078 }: states=cc863e02f8d3cb3b interactions=96256 rng=[ebb5f90b909fccae, 9ff422d93f16f107, 1103fc3dea697ad6, 609b3d4e9a9069a7]\n\
 zipf/long_window Converged { interactions: 96078 }: states=cc863e02f8d3cb3b interactions=101078 rng=[0c414d82d289cd6e, f1df202a4868286e, bf4e9b64f9f94111, c00a0b3af77eab44]\n\
 ranked_start/0 Converged { interactions: 0 }: states=f2cb7340d35e6fb3 interactions=0 rng=[9073042e1efa35a0, 4e9155be1a6f175e, 2639abc92f6efa69, 9ef9d531c304abb1] counted=0 draws=0 flushes=0\n\
-ranked_start/64 Converged { interactions: 0 }: states=f2cb7340d35e6fb3 interactions=64 rng=[1bd7637e8c9fb1f0, 25411a60afbdb262, 2006c4890c07fa71, 08ddb1ad36b46939] counted=64 draws=64 flushes=0";
+ranked_start/64 Converged { interactions: 0 }: states=f2cb7340d35e6fb3 interactions=64 rng=[1bd7637e8c9fb1f0, 25411a60afbdb262, 2006c4890c07fa71, 08ddb1ad36b46939] counted=64 draws=64 flushes=0\n\
+plain/chaos: states=742bac01c02750f3 interactions=9073 rng=[b6307fea40153c39, df3ba75e8e6ec680, b5b2375082cbe1a1, 29c39a6ae89583e0] report=6090b95041aadda4\n\
+plain/soak: states=776f21774f3fa6a0 interactions=30000 rng=[06516472eb3d55c6, bcdb95621e1f226c, 3718a6c2eb7b5188, 7d07249f929783a7] report=ddc8c37d105ecd90\n\
+plain/soak_more: states=872c0d9160cba18e interactions=45001 rng=[4962546359295eaa, 61b420689a57386b, 7eb7636310204cec, 7c2b6da02db87eb1] report=9bbb9974ff3d3e4c\n\
+telemetry/chaos: states=742bac01c02750f3 interactions=9073 rng=[b6307fea40153c39, df3ba75e8e6ec680, b5b2375082cbe1a1, 29c39a6ae89583e0] seen=9073 effective=5821 phases=384 converged=1 exhausted=0 batches=0 report=6090b95041aadda4\n\
+telemetry/soak: states=776f21774f3fa6a0 interactions=30000 rng=[06516472eb3d55c6, bcdb95621e1f226c, 3718a6c2eb7b5188, 7d07249f929783a7] seen=30000 effective=26529 phases=1567 converged=0 exhausted=1 batches=0 report=ddc8c37d105ecd90\n\
+telemetry/soak_more: states=872c0d9160cba18e interactions=45001 rng=[4962546359295eaa, 61b420689a57386b, 7eb7636310204cec, 7c2b6da02db87eb1] seen=45001 effective=39225 phases=2596 converged=0 exhausted=2 batches=0 report=9bbb9974ff3d3e4c\n\
+omission/chaos: states=63adb4f05ade66dd interactions=13688 rng=[68505126e721a601, 1d7fae1c000fa103, 4fb11bfc68ac4d1d, da5b01f765f2ceb3] report=85ae61abd0ba6937\n\
+omission/soak: states=fb595ab7a2ed30c5 interactions=30000 rng=[d4666f96f36db3c4, 080ae72923bb1fd3, 5c6b345244cb185f, eee16d590d38454e] report=cf160b9deb422310\n\
+omission/soak_more: states=7dd9994359eef478 interactions=45001 rng=[b58bc043ad931208, 39842872d02c14eb, bcaff2a6ff81a4fc, 03c02487229842ba] report=6463c5c7a7ce8f4d\n\
+one_way/chaos: states=974ad9cbbfbc1c4e interactions=400000 rng=[6d8e0ae6703a60aa, 48d52a44f053cce0, 9ee21545ef6e1c82, 3e3e74274c53cfd6] report=11080037a9108c0f\n\
+one_way/soak: states=56bfdea8aaf6ddcd interactions=30000 rng=[06516472eb3d55c6, bcdb95621e1f226c, 3718a6c2eb7b5188, 7d07249f929783a7] report=d72d3ed7d94f3898\n\
+one_way/soak_more: states=2217e9cf67d85226 interactions=45001 rng=[4962546359295eaa, 61b420689a57386b, 7eb7636310204cec, 7c2b6da02db87eb1] report=17a8894400cd0627\n\
+omission_one_way/chaos: states=90082dc6323ed11d interactions=400000 rng=[344360f2b2c17489, 57baf8e644e93790, 9dff63151ceec6e6, 1e9b672eef0158af] report=a367f95eae5c1229\n\
+omission_one_way/soak: states=ded88c7f05ac6c0f interactions=30000 rng=[d4666f96f36db3c4, 080ae72923bb1fd3, 5c6b345244cb185f, eee16d590d38454e] report=5766437fd2ef0893\n\
+omission_one_way/soak_more: states=9e41d9d03576a551 interactions=45001 rng=[b58bc043ad931208, 39842872d02c14eb, bcaff2a6ff81a4fc, 03c02487229842ba] report=c55cc1784f519cc5\n\
+metrics/chaos: states=742bac01c02750f3 interactions=9073 rng=[b6307fea40153c39, df3ba75e8e6ec680, b5b2375082cbe1a1, 29c39a6ae89583e0] counted=9073 draws=9073 flushes=8 report=6090b95041aadda4\n\
+metrics/soak: states=776f21774f3fa6a0 interactions=30000 rng=[06516472eb3d55c6, bcdb95621e1f226c, 3718a6c2eb7b5188, 7d07249f929783a7] counted=30000 draws=30000 flushes=29 report=ddc8c37d105ecd90\n\
+metrics/soak_more: states=872c0d9160cba18e interactions=45001 rng=[4962546359295eaa, 61b420689a57386b, 7eb7636310204cec, 7c2b6da02db87eb1] counted=45001 draws=45001 flushes=43 report=9bbb9974ff3d3e4c\n\
+zipf/chaos: states=fb5c18fdfb920bc4 interactions=400000 rng=[ddd65c6c3203eb4e, c3c22f0299f1afb6, bac3ea46d15ea9bc, d2926eb0360b322f] report=4c87eee58ce139c8\n\
+zipf/soak: states=73a52475e5fc4c66 interactions=30000 rng=[b192dc82d6c68bf9, efe481af0fc3e792, 839f54c90ecf24d7, 46e08cbde461b617] report=69fa92a8df05a13f\n\
+zipf/soak_more: states=067b73fdb2493790 interactions=45001 rng=[12e361d740d029e0, 7858a9b73e208e1d, cbc595420f442335, b123d9e330051255] report=a70cb0096f0c6e71\n\
+ring/chaos: states=85565e8fa61fc069 interactions=400000 rng=[344360f2b2c17489, 57baf8e644e93790, 9dff63151ceec6e6, 1e9b672eef0158af] report=07e94d8e9dbf0caa\n\
+ring/soak: states=8765902bdb10948a interactions=30000 rng=[d4666f96f36db3c4, 080ae72923bb1fd3, 5c6b345244cb185f, eee16d590d38454e] report=94bac8d7a6edec99\n\
+ring/soak_more: states=9851bd376042a2aa interactions=45001 rng=[b58bc043ad931208, 39842872d02c14eb, bcaff2a6ff81a4fc, 03c02487229842ba] report=5542d5cd8a424158\n\
+dynamics/churn: states=1fd5f1c5c01aac03 interactions=7092 rng=[273495ef5b7539a6, e800acdd76081796, 486a82194562c142, ecb8a841404ff906] report=82c403ca15346610\n\
+dynamics/clamped: states=2c16356cc75859a3 interactions=60000 rng=[d4666f96f36db3c4, 080ae72923bb1fd3, 5c6b345244cb185f, eee16d590d38454e] report=d0e64a481c82eda7\n\
+dynamics/byzantine: states=298e2ff27824992f interactions=60000 rng=[d4666f96f36db3c4, 080ae72923bb1fd3, 5c6b345244cb185f, eee16d590d38454e] report=a0c12b49fdb29ce0\n\
+dynamics/faults: states=2d8723e82272389a interactions=60000 rng=[d4666f96f36db3c4, 080ae72923bb1fd3, 5c6b345244cb185f, eee16d590d38454e] report=3e94ca96fe703c87\n\
+dynamics/everything: states=e448ce1a8c180051 interactions=60000 rng=[d4666f96f36db3c4, 080ae72923bb1fd3, 5c6b345244cb185f, eee16d590d38454e] counted=60000 draws=60000 flushes=58 report=633580f54083978f\n\
+dynamics/late: states=66a012f37e1e231d interactions=5851 rng=[0934e8d91b97f1f4, fc521699e82ce406, 7671ae0935860202, 3915f2c57264ca33] report=4e4621e91337b1bf";
 
 #[test]
 fn executions_match_the_pinned_engine() {
