@@ -8,9 +8,9 @@ use population::runner::rng_from_seed;
 use population::timeline::DEFAULT_TIMELINE_CAPACITY;
 use population::{
     certify_ranking_closure, derive_seed, BatchSimulation, ByzantineSet, ChurnPlan,
-    ClosureCertificate, Corruptor, DynamicBackend, DynamicsReport, Metrics, MetricsSink,
-    NoopMetrics, Protocol, RankingProtocol, RecordLine, RunOutcome, SchedulerPolicy, Simulation,
-    Timeline, TimelineObserver,
+    ClosureCertificate, Corruptor, CountConfig, DynamicBackend, DynamicsReport, Metrics,
+    MetricsSink, NoopMetrics, Protocol, RankingProtocol, RecordLine, RunOutcome, SchedulerPolicy,
+    Simulation, Timeline, TimelineObserver,
 };
 use ssle::adversary;
 use ssle::cai_izumi_wada::{CaiIzumiWada, CiwState};
@@ -681,22 +681,30 @@ where
                     .into(),
             });
         }
-        let mut sim = BatchSimulation::new(job.protocol, job.initial, common.seed)
-            .with_reliability(robust.reliability())
-            .with_metrics(sink);
-        // The uniform-complete fast path keeps the lumped batched loop
-        // (omission is thinned exactly inside batches); any other policy
-        // needs agent identities, so the backend falls back to exact
-        // per-interaction draws.
-        let outcome = if let Some(path) = run.timeline {
-            let mut tl = TimelineObserver::new(DEFAULT_TIMELINE_CAPACITY);
-            let outcome = sim.run_until_stably_ranked_timeline(budget, 4 * n as u64, &mut tl);
-            write_timeline(path, tl.finish(n as u64), common, Self::NAME)?;
-            outcome
-        } else if policy.is_uniform_complete() {
-            sim.run_until_stably_ranked(budget, 4 * n as u64)
+        // The uniform-complete fast path keeps the lumped count-level loop
+        // (omission is thinned exactly inside it); any other policy needs
+        // agent identities, so the configuration runs on the agent array
+        // (entry order assigns them) and is recompressed for the report.
+        let (outcome, leaders, support) = if policy.is_uniform_complete() {
+            let mut sim = BatchSimulation::new(job.protocol, job.initial, common.seed)
+                .with_reliability(robust.reliability())
+                .with_metrics(sink);
+            let outcome = if let Some(path) = run.timeline {
+                let mut tl = TimelineObserver::new(DEFAULT_TIMELINE_CAPACITY);
+                let outcome = sim.run_until_stably_ranked_timeline(budget, 4 * n as u64, &mut tl);
+                write_timeline(path, tl.finish(n as u64), common, Self::NAME)?;
+                outcome
+            } else {
+                sim.run_until_stably_ranked(budget, 4 * n as u64)
+            };
+            (outcome, sim.leader_count(), sim.counts().support())
         } else {
-            sim.run_until_stably_ranked_scheduled(&policy, budget, 4 * n as u64)
+            let states = CountConfig::from_states(&job.initial).to_states();
+            let mut sim = Simulation::with_policy(job.protocol, states, policy, common.seed)
+                .with_reliability(robust.reliability())
+                .with_metrics(sink);
+            let outcome = sim.run_until_stably_ranked(budget, 4 * n as u64);
+            (outcome, sim.leader_count() as u64, CountConfig::from_states(sim.states()).support())
         };
         let RunOutcome::Converged { interactions } = outcome else {
             return Err(CliError::DidNotConverge { interactions: outcome.interactions() });
@@ -709,8 +717,6 @@ where
                 name = common.protocol.name(),
                 t = interactions as f64 / n as f64,
                 robustness = robustness_text(robust, &spec),
-                leaders = sim.leader_count(),
-                support = sim.counts().support(),
             )),
             OutputFormat::Json => {
                 let mut obj = JsonObject::new();
@@ -723,8 +729,8 @@ where
                 obj.field_str("outcome", "converged");
                 obj.field_u64("interactions", interactions);
                 obj.field_f64("parallel_time", interactions as f64 / n as f64);
-                obj.field_u64("leaders", sim.leader_count());
-                obj.field_u64("support", sim.counts().support() as u64);
+                obj.field_u64("leaders", leaders);
+                obj.field_u64("support", support as u64);
                 Ok(obj.finish() + "\n")
             }
         }
@@ -780,17 +786,23 @@ impl SimBackend<Loose> for Counts {
         let n = common.n;
         let policy = robust.policy(n)?;
         let spec = policy.spec();
-        let mut sim = BatchSimulation::new(job.protocol, job.initial, common.seed)
-            .with_reliability(robust.reliability())
-            .with_metrics(sink);
-        let outcome = if policy.is_uniform_complete() {
-            sim.run_until(job.budget, |counts| {
+        // As for the ranking protocols: batched under the uniform complete
+        // scheduler, on the agent array under any other.
+        let (outcome, support) = if policy.is_uniform_complete() {
+            let mut sim = BatchSimulation::new(job.protocol, job.initial, common.seed)
+                .with_reliability(robust.reliability())
+                .with_metrics(sink);
+            let outcome = sim.run_until(job.budget, |counts| {
                 counts.iter().filter(|(s, _)| s.leader).map(|(_, c)| c).sum::<u64>() == 1
-            })
+            });
+            (outcome, sim.counts().support())
         } else {
-            sim.run_until_scheduled(&policy, job.budget, |_, states| {
-                states.iter().filter(|s| s.leader).count() == 1
-            })
+            let states = CountConfig::from_states(&job.initial).to_states();
+            let mut sim = Simulation::with_policy(job.protocol, states, policy, common.seed)
+                .with_reliability(robust.reliability())
+                .with_metrics(sink);
+            let outcome = sim.run_until(job.budget, |s| LooselyStabilizingLe::leader_count(s) == 1);
+            (outcome, CountConfig::from_states(sim.states()).support())
         };
         let RunOutcome::Converged { interactions } = outcome else {
             return Err(CliError::DidNotConverge { interactions: outcome.interactions() });
@@ -804,7 +816,6 @@ impl SimBackend<Loose> for Counts {
                 t_max = job.t_max,
                 t = interactions as f64 / n as f64,
                 robustness = robustness_text(robust, &spec),
-                support = sim.counts().support(),
             )),
             OutputFormat::Json => {
                 let mut obj = JsonObject::new();
@@ -818,7 +829,7 @@ impl SimBackend<Loose> for Counts {
                 obj.field_str("outcome", "converged");
                 obj.field_u64("interactions", interactions);
                 obj.field_f64("parallel_time", interactions as f64 / n as f64);
-                obj.field_u64("support", sim.counts().support() as u64);
+                obj.field_u64("support", support as u64);
                 Ok(obj.finish() + "\n")
             }
         }

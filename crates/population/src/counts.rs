@@ -66,8 +66,8 @@ use crate::metrics::{MetricsSink, NoopMetrics, Section, AGENT_FLUSH_EVERY};
 use crate::observer::{NoopObserver, Observer};
 use crate::protocol::{Protocol, RankingProtocol};
 use crate::runner::rng_from_seed;
-use crate::scheduler::{uniform_u64, AnyScheduler, Reliability, SchedulerPolicy};
-use crate::simulation::{interact_observed, RunOutcome};
+use crate::scheduler::{uniform_u64, Reliability};
+use crate::simulation::RunOutcome;
 use crate::timeline::{snapshot_counts, TimelineObserver};
 use crate::tracker::{ConfirmWindow, RankTracker};
 
@@ -1042,66 +1042,6 @@ where
             self.advance(max_interactions - self.interactions);
         }
     }
-
-    /// Runs under an arbitrary [`SchedulerPolicy`] until `goal` holds or
-    /// `max_interactions` is reached.
-    ///
-    /// Non-uniform policies distinguish agents, so the lumped count chain no
-    /// longer describes the process: this materializes agent identities (in
-    /// entry order) and runs an exact agent-level loop, recompressing the
-    /// final configuration on return. For uniform-complete policies prefer
-    /// [`BatchSimulation::run_until`], which batches.
-    ///
-    /// The goal receives the protocol and the materialized state array and
-    /// is checked after every interaction (and once before the first).
-    pub fn run_until_scheduled(
-        &mut self,
-        policy: &AnyScheduler,
-        max_interactions: u64,
-        mut goal: impl FnMut(&P, &[P::State]) -> bool,
-    ) -> RunOutcome {
-        assert_eq!(
-            policy.population_size() as u64,
-            self.n,
-            "scheduler policy was built for a different population size"
-        );
-        let mut states = self.config.to_states();
-        let outcome = loop {
-            if goal(&self.protocol, &states) {
-                self.observer.on_converged(self.interactions);
-                if F::ACTIVE {
-                    self.faults.notify_converged(self.interactions);
-                }
-                break RunOutcome::Converged { interactions: self.interactions };
-            }
-            if self.interactions >= max_interactions {
-                self.observer.on_exhausted(self.interactions);
-                break RunOutcome::Exhausted { interactions: self.interactions };
-            }
-            let (i, j) = policy.sample_at(&mut self.rng, self.interactions);
-            self.interactions += 1;
-            interact_observed::<P, NoopObserver, true>(
-                &self.protocol,
-                &mut NoopObserver,
-                self.reliability,
-                &mut states,
-                &mut self.rng,
-                self.interactions,
-                (i, j),
-            );
-            if F::ACTIVE && self.interactions >= self.faults.next_due() {
-                let fired_before = self.faults.fired_count();
-                let corrupted = self.faults.poll(&self.protocol, &mut states, self.interactions);
-                if self.faults.fired_count() != fired_before {
-                    self.observer.on_fault(corrupted, self.interactions);
-                }
-            }
-        };
-        // Recompress so `counts()` reflects the final configuration.
-        self.config = CountConfig::from_states(&states);
-        self.memo.grow(self.config.raw_len());
-        outcome
-    }
 }
 
 impl<P: RankingProtocol, O: Observer<P>, F: FaultSchedule<P>, M: MetricsSink>
@@ -1208,78 +1148,6 @@ where
         }
         outcome
     }
-
-    /// [`BatchSimulation::run_until_stably_ranked`] under an arbitrary
-    /// [`SchedulerPolicy`].
-    ///
-    /// Uniform-complete policies delegate to the lumped count-level loop —
-    /// zero cost relative to the plain method. Anything else distinguishes
-    /// agents, so the configuration is materialized (entry order assigns
-    /// identities) and the run proceeds agent-by-agent with the exact same
-    /// convergence semantics, recompressing on return.
-    pub fn run_until_stably_ranked_scheduled(
-        &mut self,
-        policy: &AnyScheduler,
-        max_interactions: u64,
-        confirm_window: u64,
-    ) -> RunOutcome {
-        if policy.is_uniform_complete() {
-            return self.run_until_stably_ranked(max_interactions, confirm_window);
-        }
-        let n = self.protocol.population_size();
-        assert_eq!(n as u64, self.n, "protocol configured for a different population size");
-        assert_eq!(
-            policy.population_size(),
-            n,
-            "scheduler policy was built for a different population size"
-        );
-        let mut states = self.config.to_states();
-        let mut tracker = RankTracker::of_states(&self.protocol, &states);
-        let mut confirm = ConfirmWindow::new(confirm_window);
-        let outcome = loop {
-            if let Some(t0) = confirm.confirmed(tracker.is_correct(), self.interactions) {
-                self.observer.on_converged(t0);
-                if F::ACTIVE {
-                    self.faults.notify_converged(t0);
-                }
-                break RunOutcome::Converged { interactions: t0 };
-            }
-            if self.interactions >= max_interactions {
-                self.observer.on_exhausted(self.interactions);
-                break RunOutcome::Exhausted { interactions: self.interactions };
-            }
-            let (i, j) = policy.sample_at(&mut self.rng, self.interactions);
-            let before_i = self.protocol.rank_of(&states[i]);
-            let before_j = self.protocol.rank_of(&states[j]);
-            self.interactions += 1;
-            let applied = interact_observed::<P, NoopObserver, true>(
-                &self.protocol,
-                &mut NoopObserver,
-                self.reliability,
-                &mut states,
-                &mut self.rng,
-                self.interactions,
-                (i, j),
-            );
-            if applied {
-                tracker.update(before_i, self.protocol.rank_of(&states[i]));
-                tracker.update(before_j, self.protocol.rank_of(&states[j]));
-            }
-            if F::ACTIVE && self.interactions >= self.faults.next_due() {
-                let fired_before = self.faults.fired_count();
-                let corrupted = self.faults.poll(&self.protocol, &mut states, self.interactions);
-                if self.faults.fired_count() != fired_before {
-                    self.observer.on_fault(corrupted, self.interactions);
-                    tracker = RankTracker::of_states(&self.protocol, &states);
-                    confirm.restart();
-                }
-            }
-            confirm.keep_if(tracker.is_correct());
-        };
-        self.config = CountConfig::from_states(&states);
-        self.memo.grow(self.config.raw_len());
-        outcome
-    }
 }
 
 impl<P, O, F, M> BatchSimulation<P, O, F, M>
@@ -1318,6 +1186,8 @@ where
 mod tests {
     use super::*;
     use crate::fault::{FaultAction, FaultSize};
+    use crate::scheduler::AnyScheduler;
+    use crate::simulation::Simulation;
     use crate::test_support::{
         assert_worker_count_invariant, Backend, Fight, FightProtocol, ModRank, TrialKind,
     };
@@ -1575,41 +1445,52 @@ mod tests {
         assert_eq!(leaders(sim.counts()), n as u64);
     }
 
+    /// Non-uniform schedulers tell agents apart, so a counts configuration
+    /// runs under them as the agent array of its states in entry order, and
+    /// is recompressed afterwards.
+    fn run_expanded<P: Protocol>(
+        protocol: P,
+        initial: &[P::State],
+        spec: &str,
+        seed: u64,
+        run: impl FnOnce(&mut Simulation<P, NoopObserver, NoFaults, AnyScheduler>) -> RunOutcome,
+    ) -> (RunOutcome, CountConfig<P::State>)
+    where
+        P::State: Eq + Hash,
+    {
+        let states = CountConfig::from_states(initial).to_states();
+        let policy = AnyScheduler::from_spec(spec, states.len()).expect(spec);
+        let mut sim = Simulation::with_policy(protocol, states, policy, seed)
+            .with_reliability(Reliability::with_omission(0.1));
+        let outcome = run(&mut sim);
+        (outcome, CountConfig::from_states(sim.states()))
+    }
+
     #[test]
     fn scheduled_fallback_converges_under_nonuniform_policies() {
         for spec in ["zipf:1", "starve:2:64", "clustered:2:0.25"] {
             let n = 8;
-            let policy = AnyScheduler::from_spec(spec, n).expect(spec);
-            let mut sim = BatchSimulation::new(ModRank { n }, vec![0usize; n], 19)
-                .with_reliability(Reliability::with_omission(0.1));
-            let outcome = sim.run_until_stably_ranked_scheduled(&policy, 4_000_000, 32);
+            let (outcome, counts) =
+                run_expanded(ModRank { n }, &vec![0usize; n], spec, 19, |sim| {
+                    sim.run_until_stably_ranked(4_000_000, 32)
+                });
             assert!(outcome.is_converged(), "{spec}: {outcome:?}");
-            assert!(sim.is_ranked(), "{spec}");
-            assert_eq!(sim.counts().population(), n as u64, "{spec}");
+            assert!(RankTracker::of_counts(&ModRank { n }, &counts).is_correct(), "{spec}");
+            assert_eq!(counts.population(), n as u64, "{spec}");
         }
-    }
-
-    #[test]
-    fn scheduled_fallback_with_uniform_policy_delegates_to_lumped_loop() {
-        let n = 8;
-        let policy = AnyScheduler::uniform(n);
-        let mut plain = BatchSimulation::new(ModRank { n }, vec![0usize; n], 23);
-        let mut scheduled = BatchSimulation::new(ModRank { n }, vec![0usize; n], 23);
-        let a = plain.run_until_stably_ranked(1_000_000, 16);
-        let b = scheduled.run_until_stably_ranked_scheduled(&policy, 1_000_000, 16);
-        assert_eq!(a, b, "uniform-complete policies must take the zero-cost path");
     }
 
     #[test]
     fn scheduled_goal_runs_reach_the_goal() {
         let n = 32;
-        let policy = AnyScheduler::from_spec("clustered:4:0.5", n).unwrap();
-        let mut sim = BatchSimulation::new(FightProtocol, vec![Fight::Leader; n], 41);
-        let outcome = sim.run_until_scheduled(&policy, 2_000_000, |_, states| {
-            states.iter().filter(|s| **s == Fight::Leader).count() == 1
-        });
+        let (outcome, counts) =
+            run_expanded(FightProtocol, &vec![Fight::Leader; n], "clustered:4:0.5", 41, |sim| {
+                sim.run_until(2_000_000, |states| {
+                    states.iter().filter(|s| **s == Fight::Leader).count() == 1
+                })
+            });
         assert!(outcome.is_converged(), "{outcome:?}");
-        assert_eq!(leaders(sim.counts()), 1, "recompressed counts reflect the final states");
+        assert_eq!(leaders(&counts), 1, "recompressed counts reflect the final states");
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //! is the *lumped* model on both backends — `⌊t·n⌋` uniformly random
 //! adversarial overwrites per unit of parallel time — because boundary
 //! polling has no per-interaction participant hook. The per-interaction
-//! *pinned* Byzantine model remains on [`Simulation::run_dynamics`].
+//! *pinned* Byzantine model is [`Simulation::run_dynamics`]'s: a hook of
+//! the agent array's one run loop, between each transition and the fault
+//! poll.
 //!
 //! # RNG neutrality
 //!

@@ -17,8 +17,9 @@
 //!   arbitrary one ([`Corruptor::random_state`]);
 //! * [`Simulation::run_dynamics`] and [`BatchSimulation::run_dynamics`]
 //!   drive an execution under both, measuring recovery with the same
-//!   [`RecoveryTracker`] clock the chaos harness uses — each membership
-//!   event is a fault with labels `"join"` / `"leave"` / `"replace"`.
+//!   [`RecoveryTracker`](crate::fault::RecoveryTracker) clock the chaos
+//!   harness uses — each membership event is a fault with labels
+//!   `"join"` / `"leave"` / `"replace"`.
 //!
 //! # RNG neutrality
 //!
@@ -49,7 +50,7 @@ use rand::Rng;
 use crate::counts::BatchSimulation;
 use crate::driver::DynamicBackend;
 use crate::driver::SteppedDriver;
-use crate::fault::{distinct_agents, ChaosReport, Corruptor, FaultSchedule, RecoveryTracker};
+use crate::fault::{distinct_agents, ChaosReport, Corruptor, FaultSchedule};
 use crate::graph::InteractionGraph;
 use crate::metrics::MetricsSink;
 use crate::observer::Observer;
@@ -425,7 +426,9 @@ where
     /// product.
     ///
     /// With an empty plan and an empty Byzantine set this performs the
-    /// bit-identical interaction sequence of [`Simulation::run_chaos`].
+    /// bit-identical interaction sequence of [`Simulation::run_chaos`]: it
+    /// runs the same goal in the same loop, pausing the loop at each
+    /// interaction that brings a membership event due to apply it.
     ///
     /// # Panics
     ///
@@ -440,156 +443,158 @@ where
         max_interactions: u64,
     ) -> DynamicsReport {
         let n0 = self.protocol.population_size();
-        assert_eq!(n0, self.states.len(), "protocol configured for a different population size");
         assert!(
             matches!(self.scheduler.graph(), InteractionGraph::Complete),
             "dynamic populations are only defined on the complete interaction graph"
         );
         let min_n = churn.min_n.max(2);
         let mut churn_rng = rng_from_seed(churn.seed);
-        let mut byz_rng = rng_from_seed(byzantine.seed);
         let mut injector = ChurnInjector::bind(churn);
-        let byz_active = !byzantine.is_empty();
-
-        let mut byz = vec![false; n0];
-        if byz_active {
-            let k = (byzantine.fraction * n0 as f64).floor() as usize;
-            for idx in distinct_agents(n0, k, &mut byz_rng) {
-                byz[idx] = true;
-            }
-        }
-        let mut joins = 0u64;
-        let mut leaves = 0u64;
-        let mut replacements = 0u64;
-        let mut byz_strikes = 0u64;
+        let (mut joins, mut leaves, mut replacements) = (0u64, 0u64, 0u64);
         let mut pt = self.interactions as f64 / n0 as f64;
-
-        let mut recovery = RecoveryTracker::new(n0);
-        let mut seen = self.faults.fired_count();
-
-        // The fault plan may fire at interaction 0, and the initial
-        // configuration may already be ranked — mirror `run_chaos` exactly.
-        self.poll_faults();
-        recovery.drain_fired(self.faults.log(), &mut seen);
-        let mut tracker = RankTracker::of_states(&self.protocol, &self.states);
-        if tracker.is_correct() && self.states.len() == n0 {
-            recovery.on_ranked(self.interactions);
-            self.faults.notify_converged(self.interactions);
-        }
-
-        loop {
-            if tracker.is_correct()
-                && self.states.len() == n0
-                && self.faults.exhausted()
-                && injector.exhausted()
-                && !byz_active
-                && recovery.open_faults() == 0
-            {
-                self.observer.on_converged(self.interactions);
-                break;
-            }
-            if self.interactions >= max_interactions {
-                self.observer.on_exhausted(self.interactions);
-                break;
-            }
-            let n_live = self.states.len();
-            let ((i, j), sampled) = self.sample_next();
-            let before_i = self.protocol.rank_of(&self.states[i]);
-            let before_j = self.protocol.rank_of(&self.states[j]);
-            self.interact_observed(i, j);
-            tracker.update(before_i, self.protocol.rank_of(&self.states[i]));
-            tracker.update(before_j, self.protocol.rank_of(&self.states[j]));
-            if M::ENABLED {
-                self.note_step_metrics(sampled);
-            }
-            pt += 1.0 / n_live as f64;
-
-            // Byzantine participants discard the protocol's update and
-            // overwrite their own state adversarially.
-            if byz_active {
-                for a in [i, j] {
-                    if byz[a] {
-                        let before = self.protocol.rank_of(&self.states[a]);
-                        self.states[a] = self.protocol.random_state(&mut byz_rng);
-                        tracker.update(before, self.protocol.rank_of(&self.states[a]));
-                        byz_strikes += 1;
+        let mut goal = self.recovery_goal();
+        goal.byzantine = (!byzantine.is_empty()).then(|| Pinned::draw(byzantine, n0));
+        let outcome = loop {
+            goal.quiet = injector.exhausted() && goal.byzantine.is_none();
+            // Parallel time advances by 1/n_live per interaction, summed one
+            // interaction at a time: a k/n product rounds differently and
+            // would move the churn clocks.
+            let per_step = 1.0 / self.states.len() as f64;
+            let due = injector.next_due();
+            let start = self.interactions;
+            let mut until = max_interactions.max(start);
+            if due.is_finite() {
+                // Stop at the interaction that reaches the next event.
+                until = start;
+                while until < max_interactions {
+                    until += 1;
+                    pt += per_step;
+                    if pt >= due {
+                        break;
                     }
                 }
             }
-
-            self.poll_faults();
-            if recovery.drain_fired(self.faults.log(), &mut seen) {
-                tracker = RankTracker::of_states(&self.protocol, &self.states);
-            }
-
-            // Membership events due at this parallel time.
-            if injector.next_due() <= pt {
-                let mut changed = false;
-                let len_before = self.states.len();
-                for action in injector.poll(pt) {
-                    let applied = match action {
-                        ChurnAction::Join(k) => {
-                            let room = churn
-                                .max_n
-                                .map_or(usize::MAX, |m| m.saturating_sub(self.states.len()));
-                            let k = k.min(room);
-                            for _ in 0..k {
-                                self.states.push(self.protocol.random_state(&mut churn_rng));
-                                byz.push(byz_active && byz_rng.gen_bool(byzantine.fraction));
-                            }
-                            joins += k as u64;
-                            k
-                        }
-                        ChurnAction::Leave(k) => {
-                            let k = k.min(self.states.len().saturating_sub(min_n));
-                            for _ in 0..k {
-                                let victim = churn_rng.gen_range(0..self.states.len());
-                                self.states.swap_remove(victim);
-                                byz.swap_remove(victim);
-                            }
-                            leaves += k as u64;
-                            k
-                        }
-                        ChurnAction::Replace(k) => {
-                            let k = k.min(self.states.len());
-                            for _ in 0..k {
-                                let victim = churn_rng.gen_range(0..self.states.len());
-                                self.states[victim] = self.protocol.random_state(&mut churn_rng);
-                                byz[victim] = byz_active && byz_rng.gen_bool(byzantine.fraction);
-                            }
-                            replacements += k as u64;
-                            k
-                        }
-                    };
-                    if applied > 0 {
-                        recovery.on_fault(action.label(), applied, self.interactions);
-                        changed = true;
-                    }
-                }
-                if changed {
-                    if self.states.len() != len_before {
-                        self.scheduler =
-                            Scheduler::new(self.states.len(), InteractionGraph::Complete);
-                    }
-                    tracker = RankTracker::of_states(&self.protocol, &self.states);
+            let churn_due = until > start && pt >= due;
+            goal.hold = if churn_due { until } else { u64::MAX };
+            let outcome = self.drive::<_, false>(&mut goal, until, None);
+            if !due.is_finite() {
+                for _ in start..self.interactions {
+                    pt += per_step;
                 }
             }
-
-            let ranked = tracker.is_correct() && self.states.len() == n0;
-            recovery.observe_steps(1, ranked, tracker.count_of(1) == 1);
-            if ranked {
-                recovery.on_ranked(self.interactions);
-                self.faults.notify_converged(self.interactions);
+            if !churn_due {
+                break outcome;
             }
-        }
+            // Faults fired on this clock are booked before its membership
+            // events.
+            goal.books.drain_fired(self.faults.log(), &mut goal.seen);
+            let len_before = self.states.len();
+            for action in injector.poll(pt) {
+                let (states, byz) = (&mut self.states, &mut goal.byzantine);
+                let applied = match action {
+                    ChurnAction::Join(k) => {
+                        let room =
+                            churn.max_n.map_or(usize::MAX, |m| m.saturating_sub(states.len()));
+                        let k = k.min(room);
+                        for _ in 0..k {
+                            states.push(self.protocol.random_state(&mut churn_rng));
+                            if let Some(byz) = byz {
+                                let member = byz.recruit();
+                                byz.members.push(member);
+                            }
+                        }
+                        joins += k as u64;
+                        k
+                    }
+                    ChurnAction::Leave(k) => {
+                        let k = k.min(states.len().saturating_sub(min_n));
+                        for _ in 0..k {
+                            let victim = churn_rng.gen_range(0..states.len());
+                            states.swap_remove(victim);
+                            if let Some(byz) = byz {
+                                byz.members.swap_remove(victim);
+                            }
+                        }
+                        leaves += k as u64;
+                        k
+                    }
+                    ChurnAction::Replace(k) => {
+                        let k = k.min(states.len());
+                        for _ in 0..k {
+                            let victim = churn_rng.gen_range(0..states.len());
+                            states[victim] = self.protocol.random_state(&mut churn_rng);
+                            if let Some(byz) = byz {
+                                byz.members[victim] = byz.recruit();
+                            }
+                        }
+                        replacements += k as u64;
+                        k
+                    }
+                };
+                if applied > 0 {
+                    goal.books.on_fault(action.label(), applied, self.interactions);
+                }
+            }
+            if self.states.len() != len_before {
+                self.scheduler = Scheduler::new(self.states.len(), InteractionGraph::Complete);
+            }
+            goal.tracker = RankTracker::of_states(&self.protocol, &self.states);
+            goal.changed = true;
+        };
+        self.conclude(outcome);
         DynamicsReport {
             final_n: self.states.len(),
-            chaos: recovery.into_report(self.interactions),
+            byz_strikes: goal.byzantine.as_ref().map_or(0, |byz| byz.strikes),
+            chaos: goal.finish(self.interactions),
             joins,
             leaves,
             replacements,
-            byz_strikes,
             parallel_time: pt,
+        }
+    }
+}
+
+/// Pinned Byzantine agents on the agent array (see [`ByzantineSet`]):
+/// which agents the adversary controls, its private RNG, and the
+/// overwrites it has made.
+pub(crate) struct Pinned {
+    members: Vec<bool>,
+    rng: SmallRng,
+    fraction: f64,
+    strikes: u64,
+}
+
+impl Pinned {
+    /// Marks `⌊t·n⌋` of `n` agents as Byzantine.
+    fn draw(set: &ByzantineSet, n: usize) -> Self {
+        let mut rng = rng_from_seed(set.seed);
+        let mut members = vec![false; n];
+        for idx in distinct_agents(n, (set.fraction * n as f64).floor() as usize, &mut rng) {
+            members[idx] = true;
+        }
+        Pinned { members, rng, fraction: set.fraction, strikes: 0 }
+    }
+
+    /// Whether a fresh agent falls to the adversary (probability `t`).
+    fn recruit(&mut self) -> bool {
+        self.rng.gen_bool(self.fraction)
+    }
+
+    /// Byzantine participants of the interaction `(i, j)` discard the
+    /// protocol's update and overwrite their own states adversarially.
+    #[inline(always)]
+    pub(crate) fn strike<P: Corruptor>(
+        &mut self,
+        protocol: &P,
+        states: &mut [P::State],
+        i: usize,
+        j: usize,
+    ) {
+        for a in [i, j] {
+            if self.members[a] {
+                states[a] = protocol.random_state(&mut self.rng);
+                self.strikes += 1;
+            }
         }
     }
 }

@@ -54,13 +54,14 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::backend::SimulationBackend;
+use crate::dynamics::Pinned;
 use crate::metrics::MetricsSink;
 use crate::observer::Observer;
 use crate::protocol::{Protocol, RankingProtocol};
 use crate::record::{FaultRecord, RunRecord};
 use crate::runner::rng_from_seed;
 use crate::scheduler::SchedulerPolicy;
-use crate::simulation::{RunOutcome, Simulation};
+use crate::simulation::{rank_pair, retrack, Goal, RunOutcome, Simulation};
 use crate::tracker::RankTracker;
 
 /// How many agents a fault touches, resolved against the **live** population
@@ -601,9 +602,9 @@ impl FaultOutcome {
 ///
 /// Driven by [`Simulation::run_chaos`](crate::Simulation::run_chaos):
 /// [`RecoveryTracker::drain_fired`] when injections fire,
-/// [`RecoveryTracker::observe_steps`] after every interaction (or batch),
-/// and [`RecoveryTracker::on_ranked`] whenever the configuration is
-/// correctly ranked (closing all open faults).
+/// [`RecoveryTracker::observe_steps`] for every stretch of interactions
+/// that share a status, and [`RecoveryTracker::on_ranked`] whenever the
+/// configuration is correctly ranked (closing all open faults).
 #[derive(Debug, Clone)]
 pub struct RecoveryTracker {
     n: usize,
@@ -662,9 +663,9 @@ impl RecoveryTracker {
 
     /// Accounts `steps` interactions, all sharing the same status: whether
     /// the configuration was correctly ranked and whether exactly one agent
-    /// held rank 1 after them. The agent backend observes one interaction
-    /// at a time; the driver observes whole slices, inspecting the
-    /// configuration only at their boundaries.
+    /// held rank 1 after them. The agent backend observes each stretch
+    /// between two status changes; the driver observes whole slices,
+    /// inspecting the configuration only at their boundaries.
     pub fn observe_steps(&mut self, steps: u64, ranked: bool, unique_leader: bool) {
         self.observed_steps += steps;
         if ranked {
@@ -851,51 +852,159 @@ impl<P: Corruptor, O: Observer<P>, F: FaultSchedule<P>, S: SchedulerPolicy, M: M
     /// self-stabilization time from the initial configuration, so one chaos
     /// trial yields both the baseline and the per-fault recovery times.
     pub fn run_chaos(&mut self, max_interactions: u64) -> ChaosReport {
+        let mut goal = self.recovery_goal();
+        let outcome = self.drive::<_, false>(&mut goal, max_interactions, None);
+        self.conclude(outcome);
+        goal.finish(self.interactions)
+    }
+
+    /// The [`Recovery`] goal of a chaos or churn run starting now.
+    pub(crate) fn recovery_goal(&mut self) -> Recovery {
         let n = self.protocol.population_size();
         assert_eq!(n, self.states.len(), "protocol configured for a different population size");
-        let mut recovery = RecoveryTracker::new(n);
-        let mut seen = self.faults.fired_count();
-
-        // The plan may fire at interaction 0, and the initial configuration
-        // may already be ranked.
+        let seen = self.faults.fired_count();
+        // The plan may fire at the start, and the start may be ranked.
         self.poll_faults();
-        recovery.drain_fired(self.faults.log(), &mut seen);
-        let mut tracker = RankTracker::of_states(&self.protocol, &self.states);
-        if tracker.is_correct() {
-            recovery.on_ranked(self.interactions);
-            self.faults.notify_converged(self.interactions);
-        }
+        let mut goal = Recovery {
+            tracker: RankTracker::of_states(&self.protocol, &self.states),
+            books: RecoveryTracker::new(n),
+            seen,
+            changed: false,
+            hold: u64::MAX,
+            quiet: true,
+            byzantine: None,
+            from: self.interactions + 1,
+            ranked: false,
+            unique_leader: false,
+        };
+        goal.keep_books(n, &mut self.faults, self.interactions);
+        goal
+    }
+}
 
-        loop {
-            if tracker.is_correct() && self.faults.exhausted() && recovery.open_faults() == 0 {
-                self.observer.on_converged(self.interactions);
-                break;
-            }
-            if self.interactions >= max_interactions {
-                self.observer.on_exhausted(self.interactions);
-                break;
-            }
-            let ((i, j), sampled) = self.sample_next();
-            let before_i = self.protocol.rank_of(&self.states[i]);
-            let before_j = self.protocol.rank_of(&self.states[j]);
-            self.interact_observed(i, j);
-            tracker.update(before_i, self.protocol.rank_of(&self.states[i]));
-            tracker.update(before_j, self.protocol.rank_of(&self.states[j]));
-            if M::ENABLED {
-                self.note_step_metrics(sampled);
-            }
-            self.poll_faults();
-            if recovery.drain_fired(self.faults.log(), &mut seen) {
-                tracker = RankTracker::of_states(&self.protocol, &self.states);
-            }
-            let ranked = tracker.is_correct();
-            recovery.observe_steps(1, ranked, tracker.count_of(1) == 1);
-            if ranked {
-                recovery.on_ranked(self.interactions);
-                self.faults.notify_converged(self.interactions);
-            }
+/// The goal of [`Simulation::run_chaos`] and
+/// [`Simulation::run_dynamics`](crate::Simulation::run_dynamics): ranked
+/// at the configured size, every fault fired and recovered from, nothing
+/// else pending. On the way it keeps a [`RecoveryTracker`]'s books, which
+/// change only when a rank changes or a fault fires: [`Goal::settle`] flags
+/// such an interaction and [`Goal::reached`], asked at the same clock,
+/// catches up. Availability is credited per stretch of interactions that
+/// share a status.
+pub(crate) struct Recovery {
+    pub(crate) tracker: RankTracker,
+    pub(crate) books: RecoveryTracker,
+    /// Fault-log entries already in the books.
+    pub(crate) seen: usize,
+    /// A rank changed or a fault fired since the books were kept.
+    pub(crate) changed: bool,
+    /// A clock whose bookkeeping waits for the membership events due there.
+    pub(crate) hold: u64,
+    /// No churn is pending and no agent is Byzantine.
+    pub(crate) quiet: bool,
+    pub(crate) byzantine: Option<Pinned>,
+    /// The first interaction not yet credited to availability, and the
+    /// status since: correctly ranked, and exactly one agent at rank 1.
+    from: u64,
+    ranked: bool,
+    unique_leader: bool,
+}
+
+impl Recovery {
+    /// Credits the interactions before `now` with their status, then keeps
+    /// the books at `now`.
+    #[cold]
+    #[inline(never)]
+    fn catch_up<P: Protocol, F: FaultSchedule<P>>(
+        &mut self,
+        n_live: usize,
+        faults: &mut F,
+        now: u64,
+    ) {
+        self.books.observe_steps(now - self.from, self.ranked, self.unique_leader);
+        self.from = now;
+        self.changed = false;
+        self.keep_books(n_live, faults, now);
+    }
+
+    /// Books fired faults and the status at `now`; if ranked, closes the
+    /// open faults and arms the after-convergence triggers.
+    fn keep_books<P: Protocol, F: FaultSchedule<P>>(
+        &mut self,
+        n_live: usize,
+        faults: &mut F,
+        now: u64,
+    ) {
+        self.books.drain_fired(faults.log(), &mut self.seen);
+        self.ranked = self.tracker.is_correct() && n_live == self.tracker.rank_count();
+        self.unique_leader = self.tracker.count_of(1) == 1;
+        if self.ranked {
+            self.books.on_ranked(now);
+            faults.notify_converged(now);
         }
-        recovery.into_report(self.interactions)
+    }
+
+    /// Credits the last stretch of a run that ended at clock `now`.
+    pub(crate) fn finish(mut self, now: u64) -> ChaosReport {
+        self.books.observe_steps(now + 1 - self.from, self.ranked, self.unique_leader);
+        self.books.into_report(now)
+    }
+}
+
+impl<P: Corruptor> Goal<P> for Recovery {
+    const PROBES: bool = false;
+    /// The pair's ranks before the transition, as [`rank_pair`] packs them.
+    type Mark = u64;
+
+    #[inline(always)]
+    fn reached<F: FaultSchedule<P>>(
+        &mut self,
+        _: &P,
+        states: &[P::State],
+        faults: &mut F,
+        now: u64,
+    ) -> Option<u64> {
+        if self.changed && now != self.hold {
+            self.catch_up(states.len(), faults, now);
+        }
+        let done = self.ranked && self.quiet && self.books.open_faults() == 0;
+        (done && faults.exhausted()).then_some(now)
+    }
+
+    /// Only a rank change or a fault can change the answer.
+    #[inline(always)]
+    fn deadline(&self, _: u64) -> u64 {
+        u64::MAX
+    }
+
+    #[inline(always)]
+    fn mark(&self, protocol: &P, states: &[P::State], i: usize, j: usize) -> u64 {
+        rank_pair(protocol, states, i, j)
+    }
+
+    #[inline(always)]
+    fn interfere(&mut self, protocol: &P, states: &mut [P::State], i: usize, j: usize) {
+        if let Some(byzantine) = &mut self.byzantine {
+            byzantine.strike(protocol, states, i, j);
+        }
+    }
+
+    #[inline(always)]
+    fn settle(
+        &mut self,
+        before: u64,
+        protocol: &P,
+        states: &[P::State],
+        i: usize,
+        j: usize,
+        faulted: bool,
+    ) -> bool {
+        let after = rank_pair(protocol, states, i, j);
+        if before == after && !faulted {
+            return false;
+        }
+        retrack(&mut self.tracker, before, after, protocol, states, faulted);
+        self.changed = true;
+        true
     }
 }
 
@@ -1210,6 +1319,26 @@ mod tests {
         assert_eq!(report.interactions, 2_000, "repeating plans run to the budget");
         assert!(report.faults.len() >= 15, "expected ~19 faults, got {}", report.faults.len());
         assert!(report.observed_steps > 0);
+    }
+
+    #[test]
+    fn metered_chaos_runs_credit_transition_time() {
+        use crate::metrics::{Metrics, Section};
+        let plan = FaultPlan::new(2)
+            .every_interactions(1_000, FaultAction::CorruptRandom(FaultSize::Exact(1)));
+        let mut chaos = Metrics::new();
+        let mut sim = Simulation::new(ModRank { n: 16 }, vec![0usize; 16], 5)
+            .with_fault_plan(&plan)
+            .with_metrics(&mut chaos);
+        assert_eq!(sim.run_chaos(100_000).interactions, 100_000);
+        let mut plain = Metrics::new();
+        Simulation::new(ModRank { n: 16 }, vec![0usize; 16], 5)
+            .with_metrics(&mut plain)
+            .run_until(100_000, |_| false);
+        for (run, m) in [("run_chaos", &chaos), ("run_until", &plain)] {
+            assert_eq!(m.interactions.get(), 100_000, "{run}");
+            assert!(m.section_nanos[Section::Transition.index()] > 0, "{run}: {m:?}");
+        }
     }
 
     #[test]

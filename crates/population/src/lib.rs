@@ -51,8 +51,10 @@
 //! of its own whose release profile this workspace cannot set. Across that
 //! boundary the compiler inlines only what the source marks.
 //!
-//! [`Simulation::run`], [`Simulation::run_until`] and the stable-ranking
-//! loops are one private loop body. It works on locals for the whole call:
+//! Every run of [`Simulation`] ([`Simulation::run`], [`Simulation::step`],
+//! [`Simulation::run_until`], the stable-ranking runs,
+//! [`Simulation::run_chaos`] and [`Simulation::run_dynamics`]) is one
+//! private loop body over a goal. It works on locals for the whole call:
 //! a copy of the RNG, the interaction clock and the state slice, written
 //! back to the `Simulation` on return. No interaction stores to the
 //! `Simulation` or reloads the RNG or the clock from it, so the four
@@ -78,11 +80,15 @@
 //! of an Optimal-Silent-SSR run from a random start at n = 1024) or a
 //! fired fault takes a cold out-of-line path that updates the
 //! [`RankTracker`] and the confirmation window, and moves the bound to the
-//! next clock. With a recording sink, interactions, RNG draws and section times are credited
-//! once per [`metrics::AGENT_FLUSH_EVERY`] interactions, not per
-//! interaction, and only the RNG words a sampler draws beyond the first are
-//! counted, on a cold branch, so the single-word uniform pair draw updates
-//! no counter.
+//! next clock. The chaos and churn goal does the same with its rank
+//! histogram and keeps its recovery books (fired faults, availability) on
+//! that cold path too; pinned Byzantine agents strike between the
+//! transition and the fault poll, and membership changes are applied
+//! between two calls of the loop. With a recording sink, interactions, RNG
+//! draws and section times are credited once per
+//! [`metrics::AGENT_FLUSH_EVERY`] interactions, not per interaction, and
+//! only the RNG words a sampler draws beyond the first are counted, on a
+//! cold branch, so the single-word uniform pair draw updates no counter.
 //!
 //! The per-interaction primitives are `#[inline(always)]`:
 //! [`Scheduler::sample_pair`] and its [`SchedulerPolicy::sample_at`], the

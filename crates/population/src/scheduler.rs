@@ -211,8 +211,8 @@ pub trait SchedulerPolicy {
 
     /// Whether this policy **is** the uniform scheduler on the complete
     /// graph — the exchangeability assumption the count-based backend's
-    /// batching relies on. Non-uniform policies return `false` and force
-    /// exact per-interaction agent-level sampling there.
+    /// batching relies on. A non-uniform policy returns `false`, and a
+    /// counts configuration runs under it as an agent array instead.
     fn is_uniform_complete(&self) -> bool {
         false
     }

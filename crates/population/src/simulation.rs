@@ -355,42 +355,9 @@ impl<P: Protocol, O: Observer<P>, F: FaultSchedule<P>, S: SchedulerPolicy, M: Me
     /// Performs one scheduler-chosen interaction and returns the ordered pair
     /// of agent indices that interacted.
     pub fn step(&mut self) -> (usize, usize) {
-        let ((i, j), sampled) = self.sample_next();
-        self.apply(i, j);
-        if M::ENABLED {
-            self.note_step_metrics(sampled);
-        }
-        (i, j)
-    }
-
-    /// Samples the pair of the next interaction; returns it with the RNG
-    /// words the scheduler drew (counted only with an enabled sink).
-    #[inline(always)]
-    pub(crate) fn sample_next(&mut self) -> ((usize, usize), u64) {
-        let mut extra = 0;
-        let pair = sample::<S, M, false>(
-            &self.scheduler,
-            self.states.len(),
-            &mut self.rng,
-            self.interactions,
-            &mut extra,
-        );
-        (pair, extra.wrapping_add(1))
-    }
-
-    /// Per-interaction metric bookkeeping for the loops outside
-    /// [`Simulation::drive_loop`] (single steps, chaos and churn runs): the
-    /// counters every step, a flush at every [`AGENT_FLUSH_EVERY`]
-    /// boundary. `sampled` is the RNG words [`Simulation::sample_next`]
-    /// counted; the omission draw is added here. Call sites gate on
-    /// `M::ENABLED` so the disabled sink compiles this away.
-    #[inline]
-    pub(crate) fn note_step_metrics(&mut self, sampled: u64) {
-        self.metrics.on_interactions(1);
-        self.metrics.on_rng_draws(sampled + self.reliability.drop_draws());
-        if self.interactions.is_multiple_of(AGENT_FLUSH_EVERY) {
-            self.metrics.on_flush(self.interactions);
-        }
+        let mut last = Steps(0, 0);
+        self.drive::<_, false>(&mut last, self.interactions + 1, None);
+        (last.0, last.1)
     }
 
     /// Forces an interaction between a specific ordered pair of agents.
@@ -406,15 +373,6 @@ impl<P: Protocol, O: Observer<P>, F: FaultSchedule<P>, S: SchedulerPolicy, M: Me
     pub fn force_pair(&mut self, i: usize, j: usize) {
         assert!(i != j, "agents cannot interact with themselves");
         assert!(i < self.states.len() && j < self.states.len(), "agent index out of range");
-        self.apply(i, j);
-    }
-
-    /// One observed interaction between `i` and `j`: the transition plus all
-    /// gated observer hooks, **without** polling the fault schedule — run
-    /// loops that keep their own incremental bookkeeping (rank tracking,
-    /// chaos recovery) poll separately so they can react to the corruption.
-    #[inline(always)]
-    pub(crate) fn interact_observed(&mut self, i: usize, j: usize) {
         self.interactions += 1;
         interact_observed::<P, O, true>(
             &self.protocol,
@@ -425,34 +383,27 @@ impl<P: Protocol, O: Observer<P>, F: FaultSchedule<P>, S: SchedulerPolicy, M: Me
             self.interactions,
             (i, j),
         );
+        self.poll_faults();
     }
 
     /// Polls the fault schedule at the current interaction count, reporting
-    /// any fired fault to the observer. Returns the number of corrupted
-    /// agents (0 when nothing fired). With [`NoFaults`] this is a no-op that
-    /// the compiler removes — the `F::ACTIVE` gate is an associated const.
-    pub(crate) fn poll_faults(&mut self) -> usize {
+    /// any fired fault to the observer. With [`NoFaults`] this is a no-op
+    /// that the compiler removes — the `F::ACTIVE` gate is an associated
+    /// const.
+    pub(crate) fn poll_faults(&mut self) {
         poll_faults(
             &mut self.faults,
             &self.protocol,
             &mut self.states,
             &mut self.observer,
             self.interactions,
-        )
-        .unwrap_or(0)
-    }
-
-    fn apply(&mut self, i: usize, j: usize) {
-        self.interact_observed(i, j);
-        if F::ACTIVE {
-            self.poll_faults();
-        }
+        );
     }
 
     /// Runs exactly `k` interactions.
     pub fn run(&mut self, k: u64) {
         let until = self.interactions.saturating_add(k);
-        self.drive::<_, false>(&mut Steps, until, None);
+        self.drive::<_, false>(&mut Steps(0, 0), until, None);
         self.observer.on_batch(k, self.interactions);
     }
 
@@ -475,7 +426,7 @@ impl<P: Protocol, O: Observer<P>, F: FaultSchedule<P>, S: SchedulerPolicy, M: Me
 
     /// Reports a goal-directed run's end to the observer (and a
     /// convergence to the fault schedule).
-    fn conclude(&mut self, outcome: RunOutcome) -> RunOutcome {
+    pub(crate) fn conclude(&mut self, outcome: RunOutcome) -> RunOutcome {
         match outcome {
             RunOutcome::Converged { interactions } => {
                 self.observer.on_converged(interactions);
@@ -492,7 +443,7 @@ impl<P: Protocol, O: Observer<P>, F: FaultSchedule<P>, S: SchedulerPolicy, M: Me
     /// draw lifted to const generics: perfect channels compile without the
     /// omission draw and the one-way copy, and a uniform policy on the
     /// complete graph draws its pairs without consulting the scheduler.
-    fn drive<G: Goal<P>, const TIMELINE: bool>(
+    pub(crate) fn drive<G: Goal<P>, const TIMELINE: bool>(
         &mut self,
         goal: &mut G,
         until: u64,
@@ -506,8 +457,10 @@ impl<P: Protocol, O: Observer<P>, F: FaultSchedule<P>, S: SchedulerPolicy, M: Me
         }
     }
 
-    /// The run loop behind [`Simulation::run`], [`Simulation::run_until`]
-    /// and the stable-ranking loops: steps until `goal` is reached or the
+    /// The one loop that runs interactions on the agent array: behind
+    /// [`Simulation::run`], [`Simulation::step`], [`Simulation::run_until`],
+    /// the stable-ranking runs, [`Simulation::run_chaos`] and
+    /// [`Simulation::run_dynamics`]. Steps until `goal` is reached or the
     /// total interaction count reaches `until`.
     ///
     /// The RNG, the interaction clock and the state slice are locals for
@@ -528,6 +481,10 @@ impl<P: Protocol, O: Observer<P>, F: FaultSchedule<P>, S: SchedulerPolicy, M: Me
     /// fired), and then the next clock becomes a stop. A predicate's
     /// deadline is always the next clock, so it is still asked at every
     /// one.
+    ///
+    /// Each interaction is: draw the pair, [`Goal::mark`], the transition,
+    /// [`Goal::interfere`] (a chaos or churn run's pinned Byzantine
+    /// agents), the fault poll, [`Goal::settle`].
     #[inline]
     fn drive_loop<G: Goal<P>, const LOSSY: bool, const COMPLETE: bool, const TIMELINE: bool>(
         &mut self,
@@ -566,7 +523,7 @@ impl<P: Protocol, O: Observer<P>, F: FaultSchedule<P>, S: SchedulerPolicy, M: Me
             }
             if now >= stop {
                 let t0 = if G::PROBES { Meter::clock::<M>() } else { None };
-                let reached = goal.reached(protocol, states, now);
+                let reached = goal.reached(protocol, states, faults, now);
                 if G::PROBES {
                     meter.charge(Section::Probe, t0);
                 }
@@ -597,6 +554,7 @@ impl<P: Protocol, O: Observer<P>, F: FaultSchedule<P>, S: SchedulerPolicy, M: Me
             if M::ENABLED && LOSSY {
                 meter.extra_draws = meter.extra_draws.wrapping_add(reliability.drop_draws());
             }
+            goal.interfere(protocol, states, i, j);
             let faulted =
                 F::ACTIVE && poll_faults(faults, protocol, states, observer, now).is_some();
             if goal.settle(mark, protocol, states, i, j, faulted) {
@@ -685,9 +643,10 @@ impl<
 }
 
 /// What [`Simulation::drive_loop`] runs toward: the part of the loop that
-/// differs between [`Simulation::run`], [`Simulation::run_until`] and the
-/// stable-ranking loops.
-trait Goal<P: Protocol> {
+/// differs between [`Simulation::run`], [`Simulation::step`],
+/// [`Simulation::run_until`], the stable-ranking runs and the chaos and
+/// churn runs ([`crate::fault::Recovery`]).
+pub(crate) trait Goal<P: Protocol> {
     /// Whether the time [`Goal::reached`] takes is charged to
     /// [`Section::Probe`] (an O(n) predicate) or not worth timing (O(1)).
     const PROBES: bool;
@@ -696,8 +655,15 @@ trait Goal<P: Protocol> {
     type Mark: Copy;
 
     /// Asked at a stop clock `now`: the interaction count at which the
-    /// goal was reached, or `None` to keep going.
-    fn reached(&mut self, protocol: &P, states: &[P::State], now: u64) -> Option<u64>;
+    /// goal was reached, or `None` to keep going. `faults` is the run's
+    /// fault schedule, for goals that keep its books.
+    fn reached<F: FaultSchedule<P>>(
+        &mut self,
+        protocol: &P,
+        states: &[P::State],
+        faults: &mut F,
+        now: u64,
+    ) -> Option<u64>;
 
     /// Asked right after [`Goal::reached`] returned `None` at `now`: the
     /// clock at which its answer may next change, assuming no
@@ -706,6 +672,13 @@ trait Goal<P: Protocol> {
 
     /// Called with the sampled pair before its transition.
     fn mark(&self, protocol: &P, states: &[P::State], i: usize, j: usize) -> Self::Mark;
+
+    /// Called between the pair's transition and the fault poll; may
+    /// overwrite the pair's states. Does nothing by default.
+    #[inline(always)]
+    fn interfere(&mut self, protocol: &P, states: &mut [P::State], i: usize, j: usize) {
+        let _ = (protocol, states, i, j);
+    }
 
     /// Called after the pair's transition and the fault poll; `faulted`
     /// says whether a fault overwrote agents. Returns whether the goal
@@ -728,15 +701,16 @@ trait Goal<P: Protocol> {
     }
 }
 
-/// [`Simulation::run`]'s goal: none; the loop stops at its budget.
-struct Steps;
+/// [`Simulation::run`]'s and [`Simulation::step`]'s goal: none; the loop
+/// stops at its budget. It remembers the last pair that interacted.
+struct Steps(usize, usize);
 
 impl<P: Protocol> Goal<P> for Steps {
     const PROBES: bool = false;
     type Mark = ();
 
     #[inline(always)]
-    fn reached(&mut self, _: &P, _: &[P::State], _: u64) -> Option<u64> {
+    fn reached<F>(&mut self, _: &P, _: &[P::State], _: &mut F, _: u64) -> Option<u64> {
         None
     }
 
@@ -749,7 +723,8 @@ impl<P: Protocol> Goal<P> for Steps {
     fn mark(&self, _: &P, _: &[P::State], _: usize, _: usize) {}
 
     #[inline(always)]
-    fn settle(&mut self, _: (), _: &P, _: &[P::State], _: usize, _: usize, _: bool) -> bool {
+    fn settle(&mut self, _: (), _: &P, _: &[P::State], i: usize, j: usize, _: bool) -> bool {
+        (self.0, self.1) = (i, j);
         false
     }
 }
@@ -762,7 +737,7 @@ impl<P: Protocol, G: FnMut(&[P::State]) -> bool> Goal<P> for Predicate<G> {
     type Mark = ();
 
     #[inline(always)]
-    fn reached(&mut self, _: &P, states: &[P::State], now: u64) -> Option<u64> {
+    fn reached<F>(&mut self, _: &P, states: &[P::State], _: &mut F, now: u64) -> Option<u64> {
         (self.0)(states).then_some(now)
     }
 
@@ -802,18 +777,33 @@ impl StablyRanked {
         states: &[P::State],
         faulted: bool,
     ) {
+        retrack(&mut self.tracker, before, after, protocol, states, faulted);
         if faulted {
-            // A fault overwrote arbitrary agents: the incremental histogram
-            // is stale, and any in-progress confirmation window no longer
-            // describes this configuration.
-            self.tracker = RankTracker::of_states(protocol, states);
+            // Any in-progress confirmation window no longer describes this
+            // configuration.
             self.confirm.restart();
-        } else {
-            for shift in [0, 32] {
-                self.tracker.update(rank_of_word(before >> shift), rank_of_word(after >> shift));
-            }
         }
         self.confirm.keep_if(self.tracker.is_correct());
+    }
+}
+
+/// Brings `tracker` up to date after one interaction whose pair's ranks
+/// went from `before` to `after` (packed by [`rank_pair`]). A fault
+/// overwrote arbitrary agents, so after one the histogram is rebuilt.
+pub(crate) fn retrack<P: RankingProtocol>(
+    tracker: &mut RankTracker,
+    before: u64,
+    after: u64,
+    protocol: &P,
+    states: &[P::State],
+    faulted: bool,
+) {
+    if faulted {
+        *tracker = RankTracker::of_states(protocol, states);
+    } else {
+        for shift in [0, 32] {
+            tracker.update(rank_of_word(before >> shift), rank_of_word(after >> shift));
+        }
     }
 }
 
@@ -823,7 +813,7 @@ impl<P: RankingProtocol> Goal<P> for StablyRanked {
     type Mark = u64;
 
     #[inline(always)]
-    fn reached(&mut self, _: &P, _: &[P::State], now: u64) -> Option<u64> {
+    fn reached<F>(&mut self, _: &P, _: &[P::State], _: &mut F, now: u64) -> Option<u64> {
         self.confirm.confirmed(self.tracker.is_correct(), now)
     }
 
@@ -866,7 +856,12 @@ impl<P: RankingProtocol> Goal<P> for StablyRanked {
 /// `j`'s in the high half, so a pair's ranks are compared across its
 /// transition in one instruction.
 #[inline(always)]
-fn rank_pair<P: RankingProtocol>(protocol: &P, states: &[P::State], i: usize, j: usize) -> u64 {
+pub(crate) fn rank_pair<P: RankingProtocol>(
+    protocol: &P,
+    states: &[P::State],
+    i: usize,
+    j: usize,
+) -> u64 {
     rank_word(protocol.rank_of(&states[i])) | rank_word(protocol.rank_of(&states[j])) << 32
 }
 
@@ -1031,12 +1026,11 @@ fn add_extra_draws(extra: &mut u64, drawn: u64) {
 
 /// One observed interaction of the pair `(i, j)` on explicit locals: the
 /// transition plus all gated observer hooks; `now` is the interaction
-/// count including this one. Returns whether the transition was applied
-/// (not dropped by omission). Without `LOSSY` the reliability model is
+/// count including this one. Without `LOSSY` the reliability model is
 /// known to be perfect, and neither its omission draw nor its one-way copy
 /// is compiled in.
 #[inline(always)]
-pub(crate) fn interact_observed<P: Protocol, O: Observer<P>, const LOSSY: bool>(
+fn interact_observed<P: Protocol, O: Observer<P>, const LOSSY: bool>(
     protocol: &P,
     observer: &mut O,
     reliability: Reliability,
@@ -1044,13 +1038,13 @@ pub(crate) fn interact_observed<P: Protocol, O: Observer<P>, const LOSSY: bool>(
     rng: &mut SmallRng,
     now: u64,
     (i, j): (usize, usize),
-) -> bool {
+) {
     if LOSSY && reliability.drops(rng) {
         // The pair met but the transition was silently dropped. The
         // meeting still counts: parallel time measures scheduled
         // encounters, and an omitted one wastes exactly its share of it.
         observer.on_interaction(i, j, now);
-        return false;
+        return;
     }
     // The observer gates are associated consts, so for `NoopObserver`
     // every branch below folds away and this compiles to the bare
@@ -1085,7 +1079,6 @@ pub(crate) fn interact_observed<P: Protocol, O: Observer<P>, const LOSSY: bool>(
             observer.on_phase_transition(j, phases_before.1, after_j, now);
         }
     }
-    true
 }
 
 /// Polls `faults` at clock `now`, reporting a fired fault to the observer.
