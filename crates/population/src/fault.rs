@@ -639,15 +639,12 @@ impl RecoveryTracker {
     }
 
     /// Records every fault in `log` past its first `*seen` entries — the
-    /// faults fired since the last call — and advances `*seen`. Returns
-    /// whether any fired, i.e. whether agent states were overwritten.
-    pub fn drain_fired(&mut self, log: &[FiredFault], seen: &mut usize) -> bool {
-        let fresh = &log[*seen..];
-        for f in fresh {
+    /// faults fired since the last call — and advances `*seen`.
+    pub fn drain_fired(&mut self, log: &[FiredFault], seen: &mut usize) {
+        for f in &log[*seen..] {
             self.on_fault(f.action, f.agents, f.at);
         }
         *seen = log.len();
-        !fresh.is_empty()
     }
 
     /// Records that the configuration is correctly ranked at interaction
