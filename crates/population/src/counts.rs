@@ -1453,6 +1453,7 @@ mod tests {
         initial: &[P::State],
         spec: &str,
         seed: u64,
+        reliability: Reliability,
         run: impl FnOnce(&mut Simulation<P, NoopObserver, NoFaults, AnyScheduler>) -> RunOutcome,
     ) -> (RunOutcome, CountConfig<P::State>)
     where
@@ -1460,8 +1461,8 @@ mod tests {
     {
         let states = CountConfig::from_states(initial).to_states();
         let policy = AnyScheduler::from_spec(spec, states.len()).expect(spec);
-        let mut sim = Simulation::with_policy(protocol, states, policy, seed)
-            .with_reliability(Reliability::with_omission(0.1));
+        let mut sim =
+            Simulation::with_policy(protocol, states, policy, seed).with_reliability(reliability);
         let outcome = run(&mut sim);
         (outcome, CountConfig::from_states(sim.states()))
     }
@@ -1470,8 +1471,9 @@ mod tests {
     fn scheduled_fallback_converges_under_nonuniform_policies() {
         for spec in ["zipf:1", "starve:2:64", "clustered:2:0.25"] {
             let n = 8;
+            let omission = Reliability::with_omission(0.1);
             let (outcome, counts) =
-                run_expanded(ModRank { n }, &vec![0usize; n], spec, 19, |sim| {
+                run_expanded(ModRank { n }, &vec![0usize; n], spec, 19, omission, |sim| {
                     sim.run_until_stably_ranked(4_000_000, 32)
                 });
             assert!(outcome.is_converged(), "{spec}: {outcome:?}");
@@ -1483,12 +1485,18 @@ mod tests {
     #[test]
     fn scheduled_goal_runs_reach_the_goal() {
         let n = 32;
-        let (outcome, counts) =
-            run_expanded(FightProtocol, &vec![Fight::Leader; n], "clustered:4:0.5", 41, |sim| {
+        let (outcome, counts) = run_expanded(
+            FightProtocol,
+            &vec![Fight::Leader; n],
+            "clustered:4:0.5",
+            41,
+            Reliability::perfect(),
+            |sim| {
                 sim.run_until(2_000_000, |states| {
                     states.iter().filter(|s| **s == Fight::Leader).count() == 1
                 })
-            });
+            },
+        );
         assert!(outcome.is_converged(), "{outcome:?}");
         assert_eq!(leaders(&counts), 1, "recompressed counts reflect the final states");
     }
